@@ -13,7 +13,7 @@ import sys
 
 from .construct import all_levels_good_edges, family_good_edges, mu_value
 from .export import family_bundle, graph_to_dot
-from .oracle import CapExceeded, RankOracle
+from .oracle import CapExceeded, RankOracle, check_cap
 from .ranking import FamilySpec, build_family, family_ranking
 from .verify import SUITES, compare_constructive_oracle, run_suite
 
@@ -32,21 +32,40 @@ def _family_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", type=int, help="clique size for the joined family")
 
 
-def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
+def _spec_from_args(args: argparse.Namespace,
+                    construction: bool = False) -> FamilySpec:
+    """The family named by the arguments.  With `construction`, sizes that
+    the good-edge constructions do not cover are refused too."""
     try:
         if args.family in ("path", "cycle"):
             if args.k is None:
                 raise UsageError(f"{args.family} requires -k")
-            return FamilySpec(args.family, k=args.k)
-        if args.family == "multipartite":
+            spec = FamilySpec(args.family, k=args.k)
+        elif args.family == "multipartite":
             if not args.parts:
                 raise UsageError("multipartite requires --parts")
-            return FamilySpec.multipartite(*args.parts)
-        if args.n is None:
+            spec = FamilySpec.multipartite(*args.parts)
+        elif args.n is None:
             raise UsageError("joined requires -n")
-        return FamilySpec.joined(args.n)
+        else:
+            spec = FamilySpec.joined(args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if construction:
+        try:
+            mu_value(spec)  # same size checks as the constructions
+        except ValueError as exc:
+            raise UsageError(f"no good-edge construction for the "
+                             f"{spec.describe()}: {exc}") from exc
+    return spec
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -78,6 +97,7 @@ def cmd_generate(args) -> int:
 
 def cmd_rank(args) -> int:
     spec = _spec_from_args(args)
+    check_cap(spec.vertex_count, args.cap)
     g = build_family(spec)
     oracle = RankOracle(cap=args.cap)
     value, stats = oracle.rank_number(g)
@@ -134,7 +154,8 @@ def _strict_paper_report(spec: FamilySpec, oracle: RankOracle) -> tuple[str, boo
 
 
 def cmd_good_edges(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(
+        args, construction=args.strict_paper or args.mode != "oracle")
     oracle = RankOracle(cap=args.cap)
     if args.strict_paper:
         report, match = _strict_paper_report(spec, oracle)
@@ -148,6 +169,7 @@ def cmd_good_edges(args) -> int:
             body = " ".join(f"({u},{v})" for u, v in es)
             _emit(f"{len(es)} edges for {spec.describe()}\n{body}\n", args.out)
         return 0
+    check_cap(spec.vertex_count, args.cap)
     g = build_family(spec)
     if args.mode == "oracle":
         good, verdicts = oracle.good_edge_set(g, spec)
@@ -188,10 +210,11 @@ def cmd_good_edges(args) -> int:
 
 
 def cmd_mu(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, construction=True)
     value = mu_value(spec)
     rows = [("closed form", value)]
     if args.oracle:
+        check_cap(spec.vertex_count, args.cap)
         oracle = RankOracle(cap=args.cap)
         g = build_family(spec)
         good, verdicts = oracle.good_edge_set(g, spec)
@@ -215,6 +238,9 @@ def cmd_mu(args) -> int:
 def cmd_verify(args) -> int:
     oracle = RankOracle(cap=args.cap)
     results = run_suite(args.suite, max_k=args.max_k, oracle=oracle)
+    if not results:
+        raise UsageError(f"suite {args.suite!r} with --max-k {args.max_k} "
+                         "checks no claims")
     ok = all(r.passed for r in results)
     if args.json:
         _emit(_json_text({"suite": args.suite,
@@ -232,7 +258,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, construction=args.what == "good-edges")
     g = build_family(spec)
     r = family_ranking(spec)
     good = family_good_edges(spec) if args.what == "good-edges" else None
@@ -256,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument("--out", metavar="PATH", help="write to a file")
         if cap:
-            p.add_argument("--cap", type=int, default=20,
+            p.add_argument("--cap", type=positive_int, default=20,
                            help="exact-search order cap (default 20)")
 
     p = sub.add_parser("generate", help="emit a family graph and its ranking")

@@ -14,12 +14,13 @@ the literal clause readings are kept available as variants for auditing
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import Graph, bits, edge, mask_of
-from .ranking import (FamilySpec, Ranking, build_family, standard_path_ranking,
-                      trailing_zeros)
+from .ranking import (FamilySpec, Ranking, build_family, part_ranges,
+                      standard_path_ranking, trailing_zeros)
 
 VARIANTS = ("corrected", "printed", "literal")
 
@@ -48,7 +49,9 @@ class EdgeSet:
         return iter(self.edges)
 
     def __contains__(self, e):
-        return tuple(e) in set(self.edges)
+        e = tuple(e)
+        i = bisect_left(self.edges, e)
+        return i < len(self.edges) and self.edges[i] == e
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges)
@@ -221,7 +224,8 @@ def all_levels_good_edges(k: int, top: int | None = None) -> EdgeSet:
     stop = k + 1 if top is None else top
     tagged: dict[tuple[int, int], str] = {}
     for j in range(4, stop + 1):
-        for e, tag in zip(level_good_edges(k, j).edges, level_good_edges(k, j).tags):
+        level = level_good_edges(k, j)
+        for e, tag in zip(level.edges, level.tags):
             tagged.setdefault(e, tag)
     return _make_edge_set(FamilySpec.path(k), tagged)
 
@@ -246,15 +250,6 @@ def cycle_good_edges(k: int, variant: str = "corrected") -> EdgeSet:
     return _make_edge_set(FamilySpec.cycle(k), tagged)
 
 
-def _part_ranges(spec: FamilySpec) -> list[range]:
-    out = []
-    start = 1
-    for m in spec.parts:
-        out.append(range(start, start + m))
-        start += m
-    return out
-
-
 def multipartite_good_edges(spec: FamilySpec) -> EdgeSet:
     """Intra-part pairs of every part after the designated largest one.
 
@@ -264,7 +259,7 @@ def multipartite_good_edges(spec: FamilySpec) -> EdgeSet:
     individually good, because the all-ones block can move to the other
     largest part."""
     tagged = {}
-    for i, rng in enumerate(_part_ranges(spec)):
+    for i, rng in enumerate(part_ranges(spec)):
         if i == 0:
             continue
         for u, v in combinations(rng, 2):
@@ -277,7 +272,7 @@ def multipartite_forbidden_edges(spec: FamilySpec) -> EdgeSet:
     break `family_ranking`, and each raises the rank number once
     `multipartite_good_edges` has been added.  On its own such a pair is
     forbidden only when the largest part is unique."""
-    rng = _part_ranges(spec)[0]
+    rng = part_ranges(spec)[0]
     tagged = {edge(u, v): "part1" for u, v in combinations(rng, 2)}
     return _make_edge_set(spec, tagged)
 

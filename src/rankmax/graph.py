@@ -2,14 +2,13 @@
 
 Vertex subsets are plain ints: bit v set means vertex v is in the set
 (bit 0 is never used).  That keeps subsets hashable and cheap, which the
-exhaustive search relies on, and caps the graph order at a machine word.
+exhaustive search relies on; Python ints are unbounded, so the graph order
+is not limited by a machine word.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
-
-MAX_VERTICES = 63
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
@@ -73,8 +72,8 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  members: int | Iterable[int] | None = None):
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        if n < 1:
+            raise ValueError(f"vertex count must be at least 1, got {n}")
         self.n = n
         full = full_mask(n)
         if members is None:

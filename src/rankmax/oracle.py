@@ -21,11 +21,18 @@ from .graph import Graph, bits, components_masks, edge
 from .ranking import FamilySpec, Ranking, is_valid_ranking
 
 DEFAULT_CAP = 20
-DEFAULT_ENUM_CAP = 16
+ENUM_CAP = 16  # order cap for listing every optimal ranking
 
 
 class CapExceeded(Exception):
     """Raised when a graph is larger than the configured search cap."""
+
+
+def check_cap(order: int, cap: int) -> None:
+    if order > cap:
+        raise CapExceeded(
+            f"graph has {order} vertices, above the exact-search "
+            f"cap of {cap}; raise the cap explicitly to proceed")
 
 
 @dataclass(frozen=True)
@@ -99,16 +106,29 @@ def longest_path_length(g: Graph) -> int:
 
 
 class _Engine:
-    """Search state bound to one adjacency structure."""
+    """Search state bound to one adjacency structure.
 
-    __slots__ = ("adj", "use_memo", "memo", "lb_cache", "nodes")
+    `with_edge(u, v)` gives an overlay that searches the host plus one edge.
+    A component lacking u or v induces the same subgraph in both, so the
+    overlay hands it to the host's memo and lower-bound cache and keeps
+    scratch state only for components holding both endpoints."""
 
-    def __init__(self, adj: tuple[int, ...], use_memo: bool):
+    __slots__ = ("adj", "memo", "lb_cache", "nodes", "host", "pair")
+
+    def __init__(self, adj: tuple[int, ...], host: "_Engine | None" = None,
+                 pair: int = 0):
         self.adj = adj
-        self.use_memo = use_memo
         self.memo: dict[tuple[int, int], bool] = {}
         self.lb_cache: dict[int, int] = {}
         self.nodes = 0
+        self.host = host
+        self.pair = pair  # endpoint mask of the overlay edge; 0 on a host
+
+    def with_edge(self, u: int, v: int) -> "_Engine":
+        adj = list(self.adj)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        return _Engine(tuple(adj), self, (1 << u) | (1 << v))
 
     def _bfs_far(self, mask: int, start: int) -> tuple[int, int]:
         adj = self.adj
@@ -146,9 +166,6 @@ class _Engine:
         self.lb_cache[comp] = lb
         return lb
 
-    def components(self, mask: int) -> list[int]:
-        return components_masks(self.adj, mask)
-
     def feasible(self, mask: int, budget: int) -> bool:
         """True iff the subgraph induced by `mask` has a ranking with labels
         at most `budget`."""
@@ -156,7 +173,8 @@ class _Engine:
             return True
         if budget >= mask.bit_count():
             return True
-        return all(self.feasible_connected(c, budget) for c in self.components(mask))
+        return all(self.feasible_connected(c, budget)
+                   for c in components_masks(self.adj, mask))
 
     def feasible_connected(self, comp: int, budget: int) -> bool:
         size = comp.bit_count()
@@ -164,13 +182,14 @@ class _Engine:
             return True
         if budget <= 0:
             return False
+        if comp & self.pair != self.pair:
+            return self.host.feasible_connected(comp, budget)
         if self.lower_bound(comp) > budget:
             return False
         key = (comp, budget)
-        if self.use_memo:
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
         adj = self.adj
         order = sorted(bits(comp),
                        key=lambda v: (-(adj[v] & comp).bit_count(), v))
@@ -179,18 +198,17 @@ class _Engine:
             self.nodes += 1
             rest = comp & ~(1 << v)
             if all(self.feasible_connected(c, budget - 1)
-                   for c in self.components(rest)):
+                   for c in components_masks(self.adj, rest)):
                 result = True
                 break
-        if self.use_memo:
-            self.memo[key] = result
+        self.memo[key] = result
         return result
 
     def rank(self, mask: int) -> int:
         if mask == 0:
             return 0
         best = 0
-        for comp in self.components(mask):
+        for comp in components_masks(self.adj, mask):
             k = self.lower_bound(comp)
             while not self.feasible_connected(comp, k):
                 k += 1
@@ -207,7 +225,7 @@ class _Engine:
         if mask == 0:
             return [{}]
         per_comp: list[list[dict[int, int]]] = []
-        for comp in self.components(mask):
+        for comp in components_masks(self.adj, mask):
             options: list[dict[int, int]] = []
             if self.feasible(comp, budget - 1):
                 options.extend(self.enumerate_labelings(comp, budget - 1))
@@ -228,39 +246,23 @@ class _Engine:
 
 
 class RankOracle:
-    """Ground-truth rank numbers and edge classifications by exact search.
+    """Ground-truth rank numbers and edge classifications by exact search,
+    with one engine per adjacency passed in (induced views share it) and
+    candidate edges searched on a transient overlay of the host's engine."""
 
-    Search state is cached per (adjacency, member set) fingerprint, so
-    augmented graphs never share entries with their host.
-    """
-
-    def __init__(self, cap: int = DEFAULT_CAP, enum_cap: int = DEFAULT_ENUM_CAP,
-                 use_memo: bool = True):
+    def __init__(self, cap: int = DEFAULT_CAP):
         self.cap = cap
-        self.enum_cap = enum_cap
-        self.use_memo = use_memo
-        self._engines: dict[tuple, _Engine] = {}
+        self._engines: dict[tuple[int, ...], _Engine] = {}
 
     def _engine(self, g: Graph) -> _Engine:
-        key = (g.adjacency, g.members)
-        eng = self._engines.get(key)
+        eng = self._engines.get(g.adjacency)
         if eng is None:
-            eng = _Engine(g.adjacency, self.use_memo)
-            self._engines[key] = eng
+            eng = self._engines[g.adjacency] = _Engine(g.adjacency)
         return eng
-
-    def clear_cache(self) -> None:
-        self._engines.clear()
-
-    def _check_cap(self, g: Graph, cap: int) -> None:
-        if g.vertex_count > cap:
-            raise CapExceeded(
-                f"graph has {g.vertex_count} vertices, above the exact-search "
-                f"cap of {cap}; raise the cap explicitly to proceed")
 
     def rank_number(self, g: Graph) -> tuple[int, SearchStats]:
         """Exact rank number, with search statistics."""
-        self._check_cap(g, self.cap)
+        check_cap(g.vertex_count, self.cap)
         eng = self._engine(g)
         nodes0 = eng.nodes
         t0 = time.perf_counter()
@@ -272,7 +274,7 @@ class RankOracle:
 
     def exists_ranking(self, g: Graph, k: int) -> bool:
         """True iff the graph has a ranking with labels at most k."""
-        self._check_cap(g, self.cap)
+        check_cap(g.vertex_count, self.cap)
         return self._engine(g).feasible(g.members, k)
 
     def classify_edge(self, g: Graph, e: tuple[int, int],
@@ -285,12 +287,12 @@ class RankOracle:
         rank.
         """
         u, v = edge(*e)
-        if g.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is already an edge of the host graph")
-        self._check_cap(g, self.cap)
+        if g.has_edge(u, v) or not (g.has_vertex(u) and g.has_vertex(v)):
+            raise ValueError(f"({u},{v}) is not a non-edge of the host graph")
+        check_cap(g.vertex_count, self.cap)
         if base_rank is None:
             base_rank, _ = self.rank_number(g)
-        good = self.exists_ranking(g.add_edges([(u, v)]), base_rank)
+        good = self._engine(g).with_edge(u, v).feasible(g.members, base_rank)
         return EdgeVerdict(edge=(u, v), base_rank=base_rank,
                            augmented_rank=base_rank if good else base_rank + 1,
                            verdict="good" if good else "forbidden")
@@ -298,7 +300,6 @@ class RankOracle:
     def good_edge_set(self, g: Graph, family: FamilySpec | None = None
                       ) -> tuple[EdgeSet, list[EdgeVerdict]]:
         """Classify every non-edge; returns the good ones plus all verdicts."""
-        self._check_cap(g, self.cap)
         base, _ = self.rank_number(g)
         verdicts = [self.classify_edge(g, e, base) for e in g.non_edges()]
         good = tuple(v.edge for v in verdicts if v.is_good)
@@ -352,11 +353,10 @@ class RankOracle:
 
     def enumerate_optimal_rankings(self, g: Graph) -> list[Ranking]:
         """All valid rankings that use labels 1..rank_number(g), sorted."""
-        self._check_cap(g, self.enum_cap)
+        check_cap(g.vertex_count, ENUM_CAP)
         if not g.is_full():
             raise ValueError("optimal-ranking enumeration needs a full graph")
         value, _ = self.rank_number(g)
-        eng = self._engine(g)
-        assignments = eng.enumerate_labelings(g.members, value)
+        assignments = self._engine(g).enumerate_labelings(g.members, value)
         rankings = sorted(tuple(a[v] for v in range(1, g.n + 1)) for a in assignments)
         return [Ranking(labels) for labels in rankings]

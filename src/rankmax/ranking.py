@@ -140,6 +140,17 @@ class FamilySpec:
         return cls(kind, n=int(obj["n"]))
 
 
+def part_ranges(spec: FamilySpec) -> list[range]:
+    """Vertex ids of each multipartite part, numbered consecutively in
+    `spec.parts` order (largest part first)."""
+    out = []
+    start = 1
+    for m in spec.parts:
+        out.append(range(start, start + m))
+        start += m
+    return out
+
+
 def build_family(spec: FamilySpec) -> Graph:
     """Concrete graph of a family, with its canonical vertex numbering.
 
@@ -156,11 +167,7 @@ def build_family(spec: FamilySpec) -> Graph:
         return Graph(n, es)
     if spec.kind == "multipartite":
         n = sum(spec.parts)
-        bounds = []
-        start = 1
-        for m in spec.parts:
-            bounds.append(range(start, start + m))
-            start += m
+        bounds = part_ranges(spec)
         es = []
         for i, p in enumerate(bounds):
             for q in bounds[i + 1:]:

@@ -1,13 +1,25 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankmax.cli import main
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "rankmax", *args],
                           capture_output=True, text=True)
+
+
+def assert_one_line_usage_error(res):
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
 
 class TestGenerate:
@@ -38,6 +50,11 @@ class TestGenerate:
     def test_bad_parameter_is_usage_error(self):
         assert run_cli("generate", "cycle", "-k", "1").returncode == 2
 
+    def test_path_beyond_sixty_three_vertices(self):
+        res = run_cli("generate", "path", "-k", "7", "--json")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["graph"]["n"] == 127
+
 
 class TestRank:
     def test_joined_five(self):
@@ -50,6 +67,11 @@ class TestRank:
         res = run_cli("rank", "path", "-k", "5")
         assert res.returncode == 2
         assert "cap" in res.stderr
+
+    def test_cap_below_one_is_usage_error(self):
+        res = run_cli("mu", "path", "-k", "3", "--cap", "0")
+        assert res.returncode == 2
+        assert "argument --cap" in res.stderr
 
     def test_cap_override(self):
         res = run_cli("rank", "path", "-k", "5", "--cap", "31", "--json")
@@ -87,6 +109,9 @@ class TestGoodEdges:
         assert obj["good"]["edges"] == [[1, 4], [2, 4], [4, 6], [4, 7]]
         assert len(obj["verdicts"]) == 15
 
+    def test_size_without_construction_is_usage_error(self):
+        assert_one_line_usage_error(run_cli("good-edges", "path", "-k", "2"))
+
     def test_strict_paper_report(self):
         res = run_cli("good-edges", "path", "-k", "4", "--strict-paper")
         assert res.returncode == 1
@@ -108,6 +133,9 @@ class TestMu:
         assert res.returncode == 0
         assert json.loads(res.stdout)["mu"] == value
 
+    def test_size_without_closed_form_is_usage_error(self):
+        assert_one_line_usage_error(run_cli("mu", "path", "-k", "2"))
+
     def test_oracle_side_by_side(self):
         res = run_cli("mu", "path", "-k", "3", "--oracle", "--json")
         obj = json.loads(res.stdout)
@@ -126,6 +154,16 @@ class TestVerify:
         assert res.returncode == 0
         obj = json.loads(res.stdout)
         assert obj["passed"] and all(c["passed"] for c in obj["claims"])
+
+    def test_zero_claims_is_usage_error(self):
+        assert_one_line_usage_error(
+            run_cli("verify", "--suite", "path", "--max-k", "0"))
+
+    def test_cycle_certificate_at_sixty_four_vertices(self):
+        res = run_cli("verify", "--suite", "cycle", "--max-k", "6")
+        assert res.returncode == 0
+        assert "16/16 claims hold" in res.stdout
+        assert "cycle-simultaneous-k6" in res.stdout
 
 
 class TestExport:
@@ -150,9 +188,43 @@ class TestExport:
         exp = run_cli("export", "cycle", "-k", "3", "--format", "json")
         assert gen.stdout == exp.stdout
 
+    def test_good_edges_without_construction_is_usage_error(self):
+        assert_one_line_usage_error(
+            run_cli("export", "path", "-k", "2", "--what", "good-edges"))
+
     def test_write_to_file(self, tmp_path):
         out = tmp_path / "g.dot"
         res = run_cli("export", "path", "-k", "3", "--format", "dot",
                       "--out", str(out))
         assert res.returncode == 0
         assert out.read_text().startswith("graph G {")
+
+
+FAMILY_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["path", "cycle"]), st.integers(-1, 5)).map(
+        lambda t: [t[0], "-k", str(t[1])]),
+    st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(
+        lambda parts: ["multipartite", "--parts", *map(str, parts)]),
+    st.integers(-1, 6).map(lambda n: ["joined", "-n", str(n)]),
+)
+VERB_ARGV = st.sampled_from([
+    ["generate"], ["rank"], ["good-edges"], ["good-edges", "--mode", "oracle"],
+    ["good-edges", "--mode", "compare"], ["good-edges", "--strict-paper"],
+    ["mu"], ["mu", "--oracle"], ["export", "--what", "good-edges"],
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(VERB_ARGV, FAMILY_ARGV)
+def test_random_family_sizes_keep_the_exit_contract(verb, family):
+    # Sizes stay small: every case either finishes in milliseconds or is
+    # refused by a size check or the default cap of 20.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([verb[0], family[0], *verb[1:], *family[1:]])
+        except SystemExit as exc:  # argparse rejects malformed argv itself
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error:" in err.getvalue()

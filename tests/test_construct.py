@@ -163,8 +163,7 @@ class TestLevelGoodEdges:
     def test_level_four_of_thirty_one(self):
         assert len(level_good_edges(5, 4)) == 16
 
-    # the level construction walks the actual graph, so it is bounded by
-    # the 63-vertex order cap (k <= 6)
+    # the level construction walks the actual graph, so sizes stay small
     @pytest.mark.parametrize("k", range(3, 7))
     def test_sizes_and_disjointness(self, k):
         seen = set()

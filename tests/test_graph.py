@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmax import FamilySpec, Graph, bits, build_family, mask_of, path_good_edges
+from rankmax import (FamilySpec, Graph, RankOracle, bits, build_family,
+                     cycle_good_edges, mask_of, path_good_edges,
+                     standard_cycle_ranking)
 from helpers import bfs_components_reference, cycle_graph, path_graph
 
 from rankmax.graph import edge
@@ -27,9 +29,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(3, [(1, 4)])
 
-    def test_order_cap(self):
+    def test_orders_beyond_a_machine_word(self):
+        # Vertex sets are unbounded Python ints, so no order ceiling applies.
+        cycle = cycle_graph(64)
+        assert cycle.vertex_count == 64 and cycle.has_edge(1, 64)
+        assert path_graph(127).edge_count == 126
+        check = RankOracle().verify_simultaneous(
+            cycle, cycle_good_edges(6).edges, witness=standard_cycle_ranking(6))
+        assert check.ok and check.mode == "certificate"
+        assert check.base_rank == check.union_rank == 7
+
+    def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
-            Graph(64)
+            Graph(0)
 
     def test_edges_sorted_canonically(self):
         g = Graph(4, [(4, 2), (3, 1)])

@@ -48,6 +48,10 @@ class TestBruteForceAgreement:
             for g in all_graphs(n):
                 assert oracle.rank_number(g)[0] == brute_rank(g)
 
+    def test_all_graphs_on_five_vertices(self, oracle):
+        for g in all_graphs(5):
+            assert oracle.rank_number(g)[0] == brute_rank(g)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_five_vertex_graphs(self, oracle, seed):
         g = random_graph(Random(seed), 5, 0.5)
@@ -221,13 +225,44 @@ class TestSearchHygiene:
     def test_cap_is_configurable(self):
         assert RankOracle(cap=32).rank_number(cycle_graph(32))[0] == 6
 
-    def test_memo_disabled_gives_identical_values(self):
-        plain = RankOracle(use_memo=False, cap=12)
-        memod = RankOracle(cap=12)
-        graphs = [path_graph(12), cycle_graph(12), star_graph(10)]
-        graphs += [random_graph(Random(400 + s), 10, 0.25) for s in range(4)]
-        for g in graphs:
-            assert plain.rank_number(g)[0] == memod.rank_number(g)[0]
+    def test_overlay_verdicts_match_fresh_searches(self):
+        # classify_edge searches an overlay that shares the host engine's
+        # memo; a fresh oracle on the augmented graph shares nothing.  One
+        # oracle classifies every host twice, forward and in reverse, so
+        # state leaking from one overlay into the next would show.
+        hosts = [random_graph(Random(400 + s), 8 + s % 3, 0.3) for s in range(6)]
+        hosts += [build_family(spec) for spec in (
+            FamilySpec.path(3), FamilySpec.path(4), FamilySpec.cycle(3),
+            FamilySpec.cycle(4), FamilySpec.multipartite(3, 2, 2),
+            FamilySpec.multipartite(2, 2, 2), FamilySpec.joined(3),
+            FamilySpec.joined(4))]
+        hosts += [cycle_graph(16).induced_subgraph(range(2, 14)),
+                  random_graph(Random(410), 10, 0.35).induced_subgraph(
+                      {1, 2, 3, 5, 6, 8, 9, 10}),
+                  # same adjacency as the full 10-vertex graph below
+                  Graph(10, [(1, 2), (2, 3), (3, 4), (5, 6)], range(1, 8)),
+                  Graph(10, [(1, 2), (2, 3), (3, 4), (5, 6)])]
+        shared = RankOracle()
+        for g in hosts:
+            base = RankOracle().rank_number(g)[0]
+            non = g.non_edges()
+            forward = [shared.classify_edge(g, e) for e in non]
+            backward = [shared.classify_edge(g, e) for e in reversed(non)]
+            assert forward == backward[::-1]
+            for e, v in zip(non, forward):
+                fresh = RankOracle().rank_number(g.add_edges([e]))[0]
+                assert v.is_good == (fresh == base)
+                assert v.augmented_rank == fresh
+
+    def test_one_engine_per_adjacency(self):
+        # Candidate edges add no engines, and graphs that differ only in
+        # isolated members share one.
+        oracle = RankOracle()
+        oracle.good_edge_set(cycle_graph(8))
+        es = [(1, 2), (2, 3)]
+        oracle.rank_number(Graph(6, es, range(1, 4)))
+        oracle.rank_number(Graph(6, es))
+        assert len(oracle._engines) == 2
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_under_relabeling(self, oracle, seed):
