@@ -6,10 +6,12 @@ center c with lowest set bit 2^j dominates the open block
 (c - 2^j, c + 2^j); joining c to any non-neighbor inside its block keeps
 the standard ranking valid, and those are exactly the addable edges.
 
-The published procedure enumerates the same set from the smaller endpoint
-of each edge.  Taken literally it drops two groups of addable edges, so
-the literal clause readings are kept available as variants for auditing
-(see `path_good_edges` and the CLI's --strict-paper mode).
+`family_good_edges` is the source of truth: one constructed set per family.
+`path_good_targets` (the same set listed from the smaller endpoint of each
+edge) and `all_levels_good_edges` (built level by level from the ranking)
+are cross-checks that must agree with it.  `published_readings` is an
+audit: the published procedure read verbatim, which misses addable edges
+(see the CLI's --strict-paper mode).
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from itertools import combinations
 from .graph import Graph, bits, edge, mask_of
 from .ranking import (FamilySpec, Ranking, build_family, part_ranges,
                       standard_path_ranking, trailing_zeros)
-
-VARIANTS = ("corrected", "printed", "literal")
-
 
 @dataclass(frozen=True)
 class EdgeSet:
@@ -99,28 +98,20 @@ def _centers(limit: int):
     return range(4, limit + 1, 4)
 
 
-def path_good_targets(m: int, k: int, variant: str = "corrected") -> set[int]:
+def path_good_targets(m: int, k: int) -> set[int]:
     """Positions n > m such that joining v_m to v_n is addable to the path
-    on 2^k - 1 vertices without raising its rank number.
-
-    The "printed" and "literal" variants reproduce the published procedure
-    clauses verbatim (``literal`` restricts the interior-run clause to
-    l > 0); both miss some addable edges and exist for auditing.
-    """
+    on 2^k - 1 vertices without raising its rank number: a cross-check
+    that lists `path_good_edges` from the smaller endpoint of each edge."""
     peak = 2 ** k - 1
     if not 1 <= m <= peak:
         raise ValueError(f"m must be in 1..{peak}")
-    if variant == "corrected":
-        res = set()
-        if m % 4 == 0:
-            res.update(range(m + 2, min(m + _block_radius(m) - 1, peak) + 1))
-        for c in _centers(peak):
-            if c >= m + 2 and c - _block_radius(c) < m:
-                res.add(c)
-        return res
-    if variant in ("printed", "literal"):
-        return set(_printed_targets(m, k, l_min=1 if variant == "literal" else 0))
-    raise ValueError(f"unknown variant {variant!r}")
+    res = set()
+    if m % 4 == 0:
+        res.update(range(m + 2, min(m + _block_radius(m) - 1, peak) + 1))
+    for c in _centers(peak):
+        if c >= m + 2 and c - _block_radius(c) < m:
+            res.add(c)
+    return res
 
 
 def _printed_targets(m: int, k: int, l_min: int) -> dict[int, str]:
@@ -149,30 +140,23 @@ def _printed_targets(m: int, k: int, l_min: int) -> dict[int, str]:
     return {n: c for n, c in res.items() if m + 2 <= n <= peak}
 
 
-def path_good_edges(k: int, variant: str = "corrected") -> EdgeSet:
+def path_good_edges(k: int) -> EdgeSet:
     """Addable-edge set for the path on 2^k - 1 vertices.
 
-    The corrected construction walks the centers and emits each center's
-    block; its size is (k-3)*2^k + 4.
+    The construction walks the centers and emits each center's block; its
+    size is (k-3)*2^k + 4.
     """
     if k < 3:
         raise ValueError("k >= 3 required")
-    spec = FamilySpec.path(k)
     peak = 2 ** k - 1
     tagged: dict[tuple[int, int], str] = {}
-    if variant == "corrected":
-        for c in _centers(peak):
-            r = _block_radius(c)
-            for x in range(max(1, c - r + 1), min(peak, c + r - 1) + 1):
-                if abs(x - c) >= 2:
-                    side = "L" if x < c else "R"
-                    tagged[edge(x, c)] = f"block:{c}{side}"
-    else:
-        for m in range(1, peak + 1):
-            for n, clause in _printed_targets(
-                    m, k, l_min=1 if variant == "literal" else 0).items():
-                tagged.setdefault(edge(m, n), f"clause:{clause}")
-    return _make_edge_set(spec, tagged)
+    for c in _centers(peak):
+        r = _block_radius(c)
+        for x in range(max(1, c - r + 1), min(peak, c + r - 1) + 1):
+            if abs(x - c) >= 2:
+                side = "L" if x < c else "R"
+                tagged[edge(x, c)] = f"block:{c}{side}"
+    return _make_edge_set(FamilySpec.path(k), tagged)
 
 
 def vertices_labeled_at_least(r: Ranking, j: int) -> int:
@@ -214,23 +198,31 @@ def level_good_edges(k: int, j: int) -> EdgeSet:
     return _make_edge_set(FamilySpec.path(k), tagged)
 
 
-def all_levels_good_edges(k: int, top: int | None = None) -> EdgeSet:
-    """Union of the level constructions for j = 4..top (default top = k+1).
-
-    `top = k` reproduces the published union bound, which undercounts.
-    """
+def _levels_union(k: int, last: int) -> EdgeSet:
     if k < 3:
         raise ValueError("k >= 3 required")
-    stop = k + 1 if top is None else top
     tagged: dict[tuple[int, int], str] = {}
-    for j in range(4, stop + 1):
+    for j in range(4, last + 1):
         level = level_good_edges(k, j)
-        for e, tag in zip(level.edges, level.tags):
-            tagged.setdefault(e, tag)
+        tagged.update(zip(level.edges, level.tags))  # levels are disjoint
     return _make_edge_set(FamilySpec.path(k), tagged)
 
 
-def cycle_good_edges(k: int, variant: str = "corrected") -> EdgeSet:
+def all_levels_good_edges(k: int) -> EdgeSet:
+    """Union of the level constructions for j = 4..k+1: a cross-check that
+    builds `path_good_edges` from the standard ranking."""
+    return _levels_union(k, k + 1)
+
+
+def _with_hub_chords(path_part: EdgeSet, k: int) -> EdgeSet:
+    tagged = dict(zip(path_part.edges, path_part.tags))
+    hub = 2 ** k
+    for i in range(2, hub - 1):
+        tagged[edge(i, hub)] = "hub"
+    return _make_edge_set(FamilySpec.cycle(k), tagged)
+
+
+def cycle_good_edges(k: int) -> EdgeSet:
     """Good-edge set for the cycle on 2^k vertices: the path construction
     plus every chord from the top vertex 2^k except to its two neighbors.
     Size (k-2)*2^k + 1.
@@ -239,15 +231,7 @@ def cycle_good_edges(k: int, variant: str = "corrected") -> EdgeSet:
     cycle ranking) valid, so all of them can be added at once.  The
     per-edge good set is larger: every single chord keeps the rank number,
     because the top label can move onto one of its endpoints."""
-    if k < 3:
-        raise ValueError("k >= 3 required")
-    hub = 2 ** k
-    tagged: dict[tuple[int, int], str] = {}
-    path_part = path_good_edges(k, variant)
-    tagged.update(zip(path_part.edges, path_part.tags))
-    for i in range(2, hub - 1):
-        tagged[edge(i, hub)] = "hub"
-    return _make_edge_set(FamilySpec.cycle(k), tagged)
+    return _with_hub_chords(path_good_edges(k), k)
 
 
 def multipartite_good_edges(spec: FamilySpec) -> EdgeSet:
@@ -298,14 +282,38 @@ def joined_good_edges(n: int) -> EdgeSet:
     return _make_edge_set(FamilySpec.joined(n), tagged)
 
 
-def family_good_edges(spec: FamilySpec, variant: str = "corrected") -> EdgeSet:
+def family_good_edges(spec: FamilySpec) -> EdgeSet:
+    """The constructed good-edge set of the family: the source of truth."""
     if spec.kind == "path":
-        return path_good_edges(spec.k, variant)
+        return path_good_edges(spec.k)
     if spec.kind == "cycle":
-        return cycle_good_edges(spec.k, variant)
+        return cycle_good_edges(spec.k)
     if spec.kind == "multipartite":
         return multipartite_good_edges(spec)
     return joined_good_edges(spec.n)
+
+
+def published_readings(spec: FamilySpec) -> dict[str, EdgeSet]:
+    """Audit: the published procedure for a path or cycle, read verbatim.
+
+    "printed" applies its three clauses from the smaller endpoint of each
+    edge, the interior-run clause for every run index l >= 0; "literal"
+    restricts that clause to l > 0 as printed; for a cycle both also get
+    the hub chords.  "level_union" is the path's level union stopped at
+    level k.  Each misses addable edges of `family_good_edges`.
+    """
+    if spec.kind not in ("path", "cycle"):
+        raise ValueError("the published procedure covers paths and cycles")
+    k = spec.k
+    readings = {"level_union": _levels_union(k, k)}
+    for name, l_min in (("printed", 0), ("literal", 1)):
+        tagged = {edge(m, n): f"clause:{clause}"
+                  for m in range(1, 2 ** k)
+                  for n, clause in _printed_targets(m, k, l_min).items()}
+        path_part = _make_edge_set(FamilySpec.path(k), tagged)
+        readings[name] = (_with_hub_chords(path_part, k)
+                          if spec.kind == "cycle" else path_part)
+    return readings
 
 
 # -- closed-form counts -------------------------------------------------

@@ -134,9 +134,6 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self._adj[v]))
 
-    def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
-
     # -- derived graphs ------------------------------------------------
 
     def add_edges(self, es: Iterable[tuple[int, int]]) -> "Graph":

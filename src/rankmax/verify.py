@@ -61,24 +61,20 @@ def multipartite_profiles(max_total: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _default_oracle(cap: int | None) -> RankOracle:
-    return RankOracle() if cap is None else RankOracle(cap=cap)
-
-
 def run_path_suite(max_k: int, oracle: RankOracle) -> list[ClaimResult]:
     res: list[ClaimResult] = []
     for k in range(3, max_k + 1):
         hp = path_good_edges(k)
+        levels = all_levels_good_edges(k)
         peak = 2 ** k - 1
-        counts = (len(hp), mu_path(k), mu_path_recurrence(k),
-                  len(all_levels_good_edges(k)))
+        counts = (len(hp), mu_path(k), mu_path_recurrence(k), len(levels))
         _claim(res, f"path-count-k{k}",
                f"constructed set for the {peak}-vertex path matches the "
                "closed form, the recurrence, and the level-union size",
                len(set(counts)) == 1, f"counts {counts}")
         _claim(res, f"path-levels-k{k}",
                "level-by-level union equals the center-block construction",
-               all_levels_good_edges(k).edges == hp.edges,
+               levels.edges == hp.edges,
                f"{len(hp)} edges")
         g = build_family(FamilySpec.path(k))
         r = standard_path_ranking(k)
@@ -126,21 +122,20 @@ def run_cycle_suite(max_k: int, oracle: RankOracle) -> list[ClaimResult]:
             base, _ = oracle.rank_number(g)
             _claim(res, f"cycle-rank-k{k}", "cycle rank number is k+1",
                    base == k + 1, f"rank {base}")
-            verdicts = [oracle.classify_edge(g, e, base) for e in g.non_edges()]
-            all_good = all(v.is_good for v in verdicts)
+            good, verdicts = oracle.good_edge_set(g)
             _claim(res, f"cycle-chords-k{k}",
                    "every single chord is individually addable (the top label "
                    "can move onto a chord endpoint), so the constructed set "
                    "is about simultaneous addition, not per-edge verdicts",
-                   all_good and len(verdicts) > len(hc),
+                   len(good) == len(verdicts) > len(hc),
                    f"{len(verdicts)} chords all good; constructed set {len(hc)}")
     return res
 
 
-def run_multipartite_suite(oracle: RankOracle, max_total: int = 9) -> list[ClaimResult]:
+def run_multipartite_suite(oracle: RankOracle) -> list[ClaimResult]:
     res: list[ClaimResult] = []
     unique_ok, tie_ok, rank_ok, sim_ok = [], [], [], []
-    for parts in multipartite_profiles(max_total):
+    for parts in multipartite_profiles(9):
         spec = FamilySpec.multipartite(*parts)
         g = build_family(spec)
         r = family_ranking(spec)
@@ -163,7 +158,7 @@ def run_multipartite_suite(oracle: RankOracle, max_total: int = 9) -> list[Claim
                 and {v.edge for v in verdicts if not v.is_good} == forb.edge_set()
                 and len(good) == mu_multipartite(*parts))
     _claim(res, "mp-rank", "rank number N - m1 + 1 matches the constructed "
-           f"ranking on every profile with at most {max_total} vertices",
+           "ranking on every profile with at most 9 vertices",
            all(rank_ok), f"{len(rank_ok)} profiles")
     _claim(res, "mp-partition-unique-max",
            "profiles with a unique largest part classify exactly as "
@@ -180,9 +175,9 @@ def run_multipartite_suite(oracle: RankOracle, max_total: int = 9) -> list[Claim
     return res
 
 
-def run_joined_suite(oracle: RankOracle, max_n: int = 5) -> list[ClaimResult]:
+def run_joined_suite(oracle: RankOracle) -> list[ClaimResult]:
     res: list[ClaimResult] = []
-    for n in range(2, max_n + 1):
+    for n in range(2, 6):
         spec = FamilySpec.joined(n)
         g = build_family(spec)
         r = family_ranking(spec)
@@ -199,12 +194,12 @@ def run_joined_suite(oracle: RankOracle, max_n: int = 5) -> list[ClaimResult]:
         _claim(res, f"joined-simultaneous-n{n}",
                "adding the whole constructed set preserves the rank number",
                sim.ok, f"{sim.mode}: {sim.detail}")
-        verdicts = [oracle.classify_edge(g, e, base) for e in g.non_edges()]
+        oracle_good, verdicts = oracle.good_edge_set(g)
         _claim(res, f"joined-cross-n{n}",
                "every cross-clique non-edge is individually addable (a fresh "
                "top label fits on its endpoint), so the constructed set is "
                "about simultaneous addition",
-               all(v.is_good for v in verdicts) and len(verdicts) == n * n - 1,
+               len(oracle_good) == len(verdicts) == n * n - 1,
                f"{len(verdicts)} candidates all good; constructed {len(good)}")
     return res
 
@@ -238,11 +233,9 @@ def run_uniqueness_suite(oracle: RankOracle, max_k: int = 4) -> list[ClaimResult
     return res
 
 
-def run_suite(suite: str, max_k: int = 4, cap: int | None = None,
-              oracle: RankOracle | None = None) -> list[ClaimResult]:
+def run_suite(suite: str, oracle: RankOracle, max_k: int = 4) -> list[ClaimResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    oracle = oracle or _default_oracle(cap)
     res: list[ClaimResult] = []
     if suite in ("paper-all", "path"):
         res += run_path_suite(max_k, oracle)
@@ -257,11 +250,10 @@ def run_suite(suite: str, max_k: int = 4, cap: int | None = None,
     return res
 
 
-def compare_constructive_oracle(spec: FamilySpec, oracle: RankOracle,
-                                variant: str = "corrected") -> dict:
+def compare_constructive_oracle(spec: FamilySpec, oracle: RankOracle) -> dict:
     """Constructed set vs exhaustive per-edge classification, as a diff."""
     g = build_family(spec)
-    constructed = family_good_edges(spec, variant)
+    constructed = family_good_edges(spec)
     oracle_good, verdicts = oracle.good_edge_set(g, spec)
     c, o = constructed.edge_set(), oracle_good.edge_set()
     return {

@@ -8,9 +8,20 @@ numbers by brute-force labeling search.  Slow but obviously correct.
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 from random import Random
 
 from rankmax import Graph
+
+
+def rankmax_env() -> dict[str, str]:
+    """The environment with this checkout's `src` first on PYTHONPATH, so a
+    child `python -m rankmax` runs these sources without an install."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    path = f"{src}{os.pathsep}{inherited}" if inherited else src
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def path_graph(n: int) -> Graph:

@@ -32,6 +32,7 @@ from rankmax import (FamilySpec, RankOracle, all_levels_good_edges,
                      path_good_edges, standard_cycle_ranking,
                      standard_path_ranking)
 from rankmax.verify import multipartite_profiles
+from helpers import rankmax_env
 
 
 def report(criterion, detail, t0):
@@ -356,7 +357,7 @@ def test_criterion10_strict_reading_report():
     res = subprocess.run(
         [sys.executable, "-m", "rankmax", "good-edges", "path", "-k", "4",
          "--strict-paper"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=rankmax_env())
     assert res.returncode == 1
     out = res.stdout
     assert "20 edges" in out

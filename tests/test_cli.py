@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmax.cli import main
+from helpers import rankmax_env
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "rankmax", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=rankmax_env())
 
 
 def assert_one_line_usage_error(res):
@@ -119,6 +120,26 @@ class TestGoodEdges:
         assert "11 edges" in res.stdout
         assert "(10,12)" in res.stdout
         assert "8 vs 20" in res.stdout
+
+    def test_strict_paper_report_cycle(self):
+        res = run_cli("good-edges", "cycle", "-k", "4", "--strict-paper")
+        assert res.returncode == 1
+        assert "corrected construction: 33 edges" in res.stdout
+        assert "l >= 0: 32 edges" in res.stdout
+        assert "as printed: 24 edges" in res.stdout
+        assert "(10,12)" in res.stdout
+
+    # Above the cap there is no classification; the literal reading must
+    # still be held against the construction, which it undercounts.
+    @pytest.mark.parametrize("family,literal,constructed", [
+        ("path", 40, 68), ("cycle", 69, 97),
+    ])
+    def test_strict_paper_fails_above_the_cap(self, family, literal, constructed):
+        res = run_cli("good-edges", family, "-k", "5", "--strict-paper")
+        assert res.returncode == 1
+        assert f"corrected construction: {constructed} edges" in res.stdout
+        assert f"as printed: {literal} edges" in res.stdout
+        assert "exhaustive per-edge classification" not in res.stdout
 
 
 class TestMu:

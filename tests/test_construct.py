@@ -7,6 +7,7 @@ from rankmax import (FamilySpec, all_levels_good_edges, build_family, bits,
                      multipartite_good_edges, next_center, non_neighbor_edges,
                      path_good_edges, path_good_targets, standard_path_ranking,
                      vertices_labeled_at_least)
+from rankmax.construct import published_readings
 from helpers import path_graph
 
 # Derived by hand from the center-block characterization: a center c
@@ -69,12 +70,14 @@ class TestPathGoodTargets:
     def test_printed_clauses_miss_left_block_edges(self):
         # v_10 sits inside the block of center 12 but no printed clause
         # produces the pair from the smaller endpoint.
-        assert path_good_targets(10, 4, "printed") == set()
-        assert path_good_targets(10, 4, "corrected") == {12}
+        printed = published_readings(FamilySpec.path(4))["printed"]
+        assert not [e for e in printed if e[0] == 10]
+        assert path_good_targets(10, 4) == {12}
 
     def test_literal_clause_two_needs_positive_run_index(self):
-        assert path_good_targets(4, 3, "literal") == set()
-        assert path_good_targets(4, 3, "printed") == {6, 7}
+        readings = published_readings(FamilySpec.path(3))
+        assert not [e for e in readings["literal"] if e[0] == 4]
+        assert [e for e in readings["printed"] if e[0] == 4] == [(4, 6), (4, 7)]
 
     def test_out_of_range_m(self):
         with pytest.raises(ValueError):
@@ -100,9 +103,10 @@ class TestPathGoodEdges:
         assert len(path_good_edges(k)) == mu_path(k)
 
     def test_variant_counts_at_k4(self):
-        assert len(path_good_edges(4, "corrected")) == 20
-        assert len(path_good_edges(4, "printed")) == 19
-        assert len(path_good_edges(4, "literal")) == 11
+        readings = published_readings(FamilySpec.path(4))
+        assert len(path_good_edges(4)) == 20
+        assert len(readings["printed"]) == 19
+        assert len(readings["literal"]) == 11
 
     def test_no_host_edges_included(self):
         for k in (3, 4, 5):
@@ -181,7 +185,7 @@ class TestLevelGoodEdges:
         assert all_levels_good_edges(k).edges == path_good_edges(k).edges
 
     def test_published_union_bound_undercounts(self):
-        assert len(all_levels_good_edges(4, top=4)) == 8
+        assert len(published_readings(FamilySpec.path(4))["level_union"]) == 8
 
     @pytest.mark.parametrize("k", range(4, 7))
     def test_removing_a_level_leaves_uniform_path_components(self, k):
