@@ -5,7 +5,9 @@ vertices v, of the maximum rank number of the components left by deleting
 v; for a disconnected graph it is the maximum over components.  The search
 runs that recursion over connected-subset bitmasks with memoization,
 pruned by a certified lower bound (a path exhibited inside the component)
-and skipped entirely when the label budget covers every vertex.
+and by twins (one refuted vertex refutes every vertex with the same
+neighbourhood), and skipped entirely when the label budget covers every
+vertex.
 
 Everything here is exact: order caps trigger explicit refusal, never
 silent approximation.
@@ -194,13 +196,21 @@ class _Engine:
         order = sorted(bits(comp),
                        key=lambda v: (-(adj[v] & comp).bit_count(), v))
         result = False
+        refuted: set[int] = set()
         for v in order:
+            # A twin of a refuted vertex (same open neighbourhood in comp if
+            # non-adjacent, same closed one if adjacent) is refuted too:
+            # swapping the two is an automorphism of the component.
+            nbrs = adj[v] & comp
+            if nbrs in refuted or nbrs | (1 << v) in refuted:
+                continue
             self.nodes += 1
             rest = comp & ~(1 << v)
             if all(self.feasible_connected(c, budget - 1)
                    for c in components_masks(self.adj, rest)):
                 result = True
                 break
+            refuted.update((nbrs, nbrs | (1 << v)))
         self.memo[key] = result
         return result
 
@@ -309,14 +319,16 @@ class RankOracle:
                             ) -> SimultaneousCheck:
         """Check that adding the whole edge set keeps the rank number.
 
-        Within the cap this is two exact searches and the answer is
-        two-sided.  Beyond it, a certificate is assembled instead: a valid
-        witness ranking on the union bounds the union's rank from above,
-        and a path exhibited in the host bounds the host's rank from below
-        (a path on m vertices has rank number bit_length(m), matched
-        against exact search for every length within the cap).  Equality
-        follows when the two bounds meet; a certificate-mode failure means
-        "not certified", not "disproved".
+        Within the cap this is an exact host rank plus one search budgeted
+        at it: adding edges never lowers the rank number, so that search
+        decides.  Only on a reject is the union's rank searched too, and the
+        answer is two-sided.  Beyond the cap, a certificate is assembled
+        instead: a valid witness ranking on the union bounds the union's
+        rank from above, and a path exhibited in the host bounds the host's
+        rank from below (a path on m vertices has rank number
+        bit_length(m), matched against exact search for every length within
+        the cap).  Equality follows when the two bounds meet; a
+        certificate-mode failure means "not certified", not "disproved".
         """
         added = [edge(*e) for e in added]
         for u, v in added:
@@ -325,7 +337,8 @@ class RankOracle:
         union = g.add_edges(added)
         if union.vertex_count <= self.cap:
             base, _ = self.rank_number(g)
-            aug, _ = self.rank_number(union)
+            fits = self._engine(union).feasible(union.members, base)
+            aug = base if fits else self.rank_number(union)[0]
             return SimultaneousCheck(
                 ok=aug == base, mode="exact", base_rank=base, union_rank=aug,
                 detail=f"exact search: host rank {base}, union rank {aug}")

@@ -117,3 +117,52 @@ def brute_rank(g: Graph, checker=valid_by_path_definition) -> int:
             if checker(g, dict(zip(verts, combo))):
                 return k
     raise AssertionError("labeling every vertex distinctly is always valid")
+
+
+def reference_rank(g: Graph) -> int:
+    """Rank number by the plain elimination recursion: a connected vertex
+    set S has rank 1 + min over v in S of the largest rank among the
+    components of S - v.  Frozensets and dict BFS; no bitmasks, lower
+    bound or twin pruning."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    memo: dict[frozenset[int], int] = {}
+
+    def components(subset: frozenset[int]) -> list[frozenset[int]]:
+        comps, left = [], set(subset)
+        while left:
+            comp, queue = set(), [left.pop()]
+            while queue:
+                x = queue.pop()
+                comp.add(x)
+                queue.extend(adj[x] & left)
+                left -= adj[x]
+            comps.append(frozenset(comp))
+        return comps
+
+    def connected_rank(comp: frozenset[int]) -> int:
+        if comp not in memo:
+            memo[comp] = 1 + min(
+                max((connected_rank(c) for c in components(comp - {v})),
+                    default=0)
+                for v in comp)
+        return memo[comp]
+
+    return max(connected_rank(c) for c in components(frozenset(adj)))
+
+
+def blow_up(rng: Random, base: Graph | None = None) -> Graph:
+    """Each vertex of `base` (by default a random graph on 2..4 vertices)
+    replaced by an independent set or a clique of 1..3 vertices, which are
+    twins of each other; two blocks are joined completely when their
+    originals are adjacent."""
+    if base is None:
+        base = random_graph(rng, rng.randint(2, 4), 0.5)
+    blocks: list[list[int]] = []
+    for _ in range(base.n):
+        start = sum(map(len, blocks)) + 1
+        blocks.append(list(range(start, start + rng.randint(1, 3))))
+    es = [(a, b) for block in blocks if rng.random() < 0.5
+          for a, b in itertools.combinations(block, 2)]
+    es += [(a, b) for u, v in base.edges
+           for a in blocks[u - 1] for b in blocks[v - 1]]
+    return Graph(sum(map(len, blocks)), es)

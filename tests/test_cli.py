@@ -64,6 +64,14 @@ class TestRank:
         assert "6" in res.stdout
         assert "nodes=" in res.stderr  # stats on the side channel
 
+    def test_dense_multipartite_within_the_cap(self):
+        # 20 vertices in four twin classes: the search needs twin pruning to
+        # answer in a fraction of a second.
+        res = run_cli("rank", "multipartite", "--parts", "5", "5", "5", "5")
+        assert res.returncode == 0
+        assert res.stdout == ("rank number of complete multipartite with "
+                              "parts 5,5,5,5: 16\n")
+
     def test_cap_refusal(self):
         res = run_cli("rank", "path", "-k", "5")
         assert res.returncode == 2

@@ -5,13 +5,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmax import (CapExceeded, FamilySpec, Graph, RankOracle, Ranking,
-                     build_family, cycle_good_edges, family_ranking,
-                     is_valid_ranking, longest_path_length, path_good_edges,
-                     standard_cycle_ranking, standard_path_ranking)
-from helpers import (all_graphs, brute_rank, complete_graph, cycle_graph,
-                     path_graph, random_graph, star_graph)
+                     build_family, cycle_good_edges, family_good_edges,
+                     family_ranking, is_valid_ranking, longest_path_length,
+                     path_good_edges, standard_cycle_ranking,
+                     standard_path_ranking)
+from helpers import (all_graphs, blow_up, brute_rank, complete_graph,
+                     cycle_graph, path_graph, random_graph, reference_rank,
+                     star_graph, valid_by_path_definition)
 
 HP3 = {(1, 4), (2, 4), (4, 6), (4, 7)}
+
+
+def by_is_valid_ranking(g, labels):
+    return is_valid_ranking(g, Ranking(tuple(labels[v] for v in range(1, g.n + 1))))
+
+
+def partitions(n, largest):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first, *rest)
+
+
+def small_blow_ups(seeds, base=None, count=None):
+    """Blow-ups of at most ten vertices, from the first seeds that give one."""
+    hosts = (blow_up(Random(s), base) for s in seeds)
+    return [g for g in hosts if g.vertex_count <= 10][:count]
+
+
+# Graphs made almost entirely of twin classes: every complete multipartite
+# profile of at most six vertices, random blow-ups of graphs on 2..4
+# vertices, and blow-ups of short paths and cycles, whose blocks can share a
+# degree without being twins.
+PROFILES = [p for n in range(2, 7) for p in partitions(n, n) if len(p) >= 2]
+BLOW_UPS = (small_blow_ups(range(700, 760), count=20)
+            + small_blow_ups(range(800, 820), path_graph(5), 4)
+            + small_blow_ups(range(820, 840), cycle_graph(5), 4)
+            + small_blow_ups(range(840, 860), path_graph(6), 4))
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +92,34 @@ class TestBruteForceAgreement:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_six_vertex_graphs(self, oracle, seed):
         g = random_graph(Random(100 + seed), 6, 0.4)
-        checker = lambda gr, lab: is_valid_ranking(
-            gr, Ranking(tuple(lab[v] for v in range(1, gr.n + 1))))
-        assert oracle.rank_number(g)[0] == brute_rank(g, checker)
+        assert oracle.rank_number(g)[0] == brute_rank(g, by_is_valid_ranking)
+
+
+class TestTwinRichGraphs:
+    """The search skips twins of a refuted vertex; these graphs are made of
+    twin classes, and every answer is checked against searches that know
+    nothing of twins."""
+
+    @staticmethod
+    def assert_exact(oracle, g):
+        value = oracle.rank_number(g)[0]
+        assert value == reference_rank(g)
+        if g.vertex_count <= 6:
+            checker = (by_is_valid_ranking if g.vertex_count == 6
+                       else valid_by_path_definition)
+            assert value == brute_rank(g, checker)
+        for e in g.non_edges():
+            good = reference_rank(g.add_edges([e])) == value
+            assert oracle.classify_edge(g, e, value).is_good == good, e
+
+    @pytest.mark.parametrize("parts", PROFILES, ids=str)
+    def test_complete_multipartite_profiles(self, oracle, parts):
+        self.assert_exact(oracle, build_family(FamilySpec.multipartite(*parts)))
+
+    @pytest.mark.parametrize("g", BLOW_UPS,
+                             ids=[f"host{i}" for i in range(len(BLOW_UPS))])
+    def test_random_blow_ups(self, oracle, g):
+        self.assert_exact(oracle, g)
 
 
 class TestExistsRanking:
@@ -184,6 +241,24 @@ class TestVerifySimultaneous:
     def test_exact_reject(self, oracle):
         check = oracle.verify_simultaneous(path_graph(7), [(1, 3)])
         assert not check.ok and check.mode == "exact"
+        union = path_graph(7).add_edges([(1, 3)])
+        assert check.union_rank == RankOracle().rank_number(union)[0] == 4
+
+    def test_exact_reject_reports_the_union_rank(self, oracle):
+        # P_7 plus every non-edge is K_7: the union's rank is 4 above the
+        # host's, so the reject path must search it, not infer base + 1.
+        g = path_graph(7)
+        check = oracle.verify_simultaneous(g, g.non_edges())
+        assert not check.ok and check.mode == "exact"
+        assert (check.base_rank, check.union_rank) == (3, 7)
+        assert check.detail == "exact search: host rank 3, union rank 7"
+
+    def test_exact_accept_on_a_dense_host(self, oracle):
+        spec = FamilySpec.multipartite(4, 3, 2)
+        g = build_family(spec)
+        check = oracle.verify_simultaneous(g, family_good_edges(spec).edges)
+        assert check.ok and check.mode == "exact"
+        assert check.union_rank == check.base_rank == 6
 
     def test_overlapping_edge_rejected(self, oracle):
         with pytest.raises(ValueError):
@@ -317,6 +392,10 @@ class TestFamilyRanks:
         (FamilySpec.multipartite(2, 2), 3),
         (FamilySpec.joined(2), 3),
         (FamilySpec.joined(5), 6),
+        # dense hosts within the cap that need twin pruning to finish fast
+        (FamilySpec.multipartite(5, 5, 5, 5), 16),
+        (FamilySpec.multipartite(6, 5, 4, 3, 2), 15),
+        (FamilySpec.joined(10), 11),
     ])
     def test_oracle_matches_the_constructed_ranking(self, oracle, spec, expected):
         g = build_family(spec)
