@@ -48,7 +48,7 @@ class EdgeSet:
         return iter(self.edges)
 
     def __contains__(self, e):
-        e = tuple(e)
+        e = tuple(sorted(e))  # a pair is unordered, as in Graph.has_edge
         i = bisect_left(self.edges, e)
         return i < len(self.edges) and self.edges[i] == e
 

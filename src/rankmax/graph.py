@@ -1,4 +1,4 @@
-"""Simple undirected graphs on 1-based vertex ids, with bitmask vertex sets.
+"""Simple undirected graphs on the vertices 1..n, with bitmask vertex sets.
 
 Vertex subsets are plain ints: bit v set means vertex v is in the set
 (bit 0 is never used).  That keeps subsets hashable and cheap, which the
@@ -63,33 +63,24 @@ def components_masks(adj: tuple[int, ...], mask: int) -> list[int]:
 
 
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph on the vertices 1..n.
 
-    Vertices live in the universe 1..n; `members` (a bitmask) restricts the
-    graph to an induced subset while preserving vertex identities, which is
-    how induced-subgraph views are represented.
+    `members` is the bitmask of 1..n.  Vertex subsets, such as the
+    components of an induced subgraph, are bitmasks passed to
+    `connected_components`, not graphs of their own.
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 members: int | Iterable[int] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError(f"vertex count must be at least 1, got {n}")
         self.n = n
-        full = full_mask(n)
-        if members is None:
-            self.members = full
-        else:
-            self.members = members if isinstance(members, int) else mask_of(members)
-            if self.members & ~full:
-                raise ValueError("members outside 1..n")
+        self.members = full_mask(n)
         adj = [0] * (n + 1)
         es = set()
         for u, v in edges:
             u, v = edge(u, v)
             if u < 1 or v > n:
                 raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-            if not (self.members >> u) & 1 or not (self.members >> v) & 1:
-                raise ValueError(f"edge ({u},{v}) touches a non-member vertex")
             if (u, v) not in es:
                 es.add((u, v))
                 adj[u] |= 1 << v
@@ -109,21 +100,18 @@ class Graph:
         return self._adj
 
     def vertices(self) -> list[int]:
-        return list(bits(self.members))
+        return list(range(1, self.n + 1))
 
     @property
     def vertex_count(self) -> int:
-        return self.members.bit_count()
+        return self.n
 
     @property
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def is_full(self) -> bool:
-        return self.members == full_mask(self.n)
-
     def has_vertex(self, v: int) -> bool:
-        return 0 < v <= self.n and (self.members >> v) & 1 == 1
+        return 0 < v <= self.n
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 < u <= self.n and (self._adj[u] >> v) & 1 == 1
@@ -146,15 +134,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) touches a vertex outside the graph")
             if not self.has_edge(u, v):
                 new.append((u, v))
-        return Graph(self.n, new, self.members)
-
-    def induced_subgraph(self, s: int | Iterable[int]) -> "Graph":
-        """Induced subgraph on the vertex subset `s`, identities preserved."""
-        smask = s if isinstance(s, int) else mask_of(s)
-        smask &= self.members
-        kept = [(u, v) for u, v in self._edges
-                if (smask >> u) & 1 and (smask >> v) & 1]
-        return Graph(self.n, kept, smask)
+        return Graph(self.n, new)
 
     def non_edges(self) -> list[tuple[int, int]]:
         """All vertex pairs of the graph that are not edges, sorted."""
@@ -166,20 +146,15 @@ class Graph:
                     out.append((u, v))
         return out
 
-    def connected_components(self, s: int | Iterable[int] | None = None) -> list[int]:
-        """Component bitmasks of the subgraph induced by `s` (default: all
-        members), ordered by smallest vertex."""
-        if s is None:
-            smask = self.members
-        else:
-            smask = (s if isinstance(s, int) else mask_of(s)) & self.members
+    def connected_components(self, s: int | None = None) -> list[int]:
+        """Component bitmasks of the subgraph induced by the vertex mask `s`
+        (default: the whole graph), ordered by smallest vertex."""
+        smask = self.members if s is None else s & self.members
         return components_masks(self._adj, smask)
 
     # -- serialization and identity -------------------------------------
 
     def to_json_dict(self) -> dict:
-        if not self.is_full():
-            raise ValueError("only full graphs have a JSON form, not induced views")
         return {"n": self.n, "edges": [list(e) for e in self._edges]}
 
     @classmethod
@@ -188,11 +163,11 @@ class Graph:
 
     def __eq__(self, other):
         if isinstance(other, Graph):
-            return (self.members == other.members and self._edges == other._edges)
+            return self.n == other.n and self._edges == other._edges
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.members, self._edges))
+        return hash((self.n, self._edges))
 
     def __repr__(self):
         return f"Graph(n={self.n}, vertices={self.vertex_count}, edges={self.edge_count})"

@@ -90,7 +90,7 @@ def longest_path_length(g: Graph) -> int:
     """
     adj = g.adjacency
     mask = g.members
-    best = 1 if mask else 0
+    best = 1
     for start in bits(mask):
         seen = 1 << start
         v = start
@@ -257,8 +257,8 @@ class _Engine:
 
 class RankOracle:
     """Ground-truth rank numbers and edge classifications by exact search,
-    with one engine per adjacency passed in (induced views share it) and
-    candidate edges searched on a transient overlay of the host's engine."""
+    with one engine per host adjacency and candidate edges searched on a
+    transient overlay of the host's engine."""
 
     def __init__(self, cap: int = DEFAULT_CAP):
         self.cap = cap
@@ -351,24 +351,18 @@ class RankOracle:
                 ok=False, mode="certificate",
                 detail="witness ranking is not valid on the augmented graph")
         top = max(witness.label(v) for v in union.vertices())
-        if g.vertex_count <= self.cap:
-            base, _ = self.rank_number(g)
-            lower_src = f"exact host rank {base}"
-        else:
-            path_len = longest_path_length(g)
-            base = path_len.bit_length()
-            lower_src = f"path on {path_len} vertices exhibited in the host"
+        path_len = longest_path_length(g)
+        base = path_len.bit_length()
         ok = base >= top
         return SimultaneousCheck(
             ok=ok, mode="certificate", base_rank=base, union_rank=top if ok else None,
             detail=(f"witness ranking valid on the union with {top} labels; "
-                    f"host rank >= {base} ({lower_src})"))
+                    f"host rank >= {base} (path on {path_len} vertices "
+                    "exhibited in the host)"))
 
     def enumerate_optimal_rankings(self, g: Graph) -> list[Ranking]:
         """All valid rankings that use labels 1..rank_number(g), sorted."""
         check_cap(g.vertex_count, ENUM_CAP)
-        if not g.is_full():
-            raise ValueError("optimal-ranking enumeration needs a full graph")
         value, _ = self.rank_number(g)
         assignments = self._engine(g).enumerate_labelings(g.members, value)
         rankings = sorted(tuple(a[v] for v in range(1, g.n + 1)) for a in assignments)

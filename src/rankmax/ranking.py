@@ -248,7 +248,7 @@ def is_valid_ranking(g: Graph, r: Ranking) -> bool:
     is equivalent to the path formulation but avoids path enumeration.
     """
     verts = g.vertices()
-    if len(r.labels) < g.n or any(v > len(r.labels) for v in verts):
+    if len(r.labels) < g.n:
         raise ValueError("ranking does not label every vertex of the graph")
     values = sorted({r.label(v) for v in verts})
     for c in values:

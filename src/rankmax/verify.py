@@ -14,7 +14,7 @@ from .construct import (all_levels_good_edges, cycle_good_edges,
                         mu_multipartite, mu_path, mu_path_recurrence,
                         multipartite_forbidden_edges, multipartite_good_edges,
                         path_good_edges)
-from .oracle import ENUM_CAP, RankOracle
+from .oracle import RankOracle
 from .ranking import (FamilySpec, build_family, family_ranking,
                       family_rank_value, is_valid_ranking,
                       standard_path_ranking)
@@ -208,8 +208,6 @@ def run_uniqueness_suite(oracle: RankOracle, max_k: int = 4) -> list[ClaimResult
     res: list[ClaimResult] = []
     for k in range(2, max_k + 1):
         spec = FamilySpec.path(k)
-        if spec.vertex_count > ENUM_CAP:
-            continue
         g = build_family(spec)
         found = oracle.enumerate_optimal_rankings(g)
         std = standard_path_ranking(k)
@@ -219,8 +217,6 @@ def run_uniqueness_suite(oracle: RankOracle, max_k: int = 4) -> list[ClaimResult
                found == [std], f"{len(found)} rankings")
     for k in range(2, max_k + 1):
         spec = FamilySpec.cycle(k)
-        if spec.vertex_count > ENUM_CAP:
-            continue
         g = build_family(spec)
         found = oracle.enumerate_optimal_rankings(g)
         n = spec.vertex_count

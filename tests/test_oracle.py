@@ -9,11 +9,19 @@ from rankmax import (CapExceeded, FamilySpec, Graph, RankOracle, Ranking,
                      family_ranking, is_valid_ranking, longest_path_length,
                      path_good_edges, standard_cycle_ranking,
                      standard_path_ranking)
+from rankmax.verify import run_uniqueness_suite
 from helpers import (all_graphs, blow_up, brute_rank, complete_graph,
                      cycle_graph, path_graph, random_graph, reference_rank,
                      star_graph, valid_by_path_definition)
 
 HP3 = {(1, 4), (2, 4), (4, 6), (4, 7)}
+
+
+def induced(g, keep):
+    """The subgraph of g induced by `keep`, renumbered 1..len(keep) in order."""
+    new = {v: i for i, v in enumerate(sorted(keep), 1)}
+    return Graph(len(new), [(new[u], new[v]) for u, v in g.edges
+                            if u in new and v in new])
 
 
 def by_is_valid_ranking(g, labels):
@@ -232,6 +240,12 @@ class TestEnumerateOptimalRankings:
         with pytest.raises(CapExceeded):
             oracle.enumerate_optimal_rankings(path_graph(17))
 
+    def test_uniqueness_suite_refuses_above_the_cap(self, oracle):
+        # P_31 is above the enumeration cap: the suite raises rather than
+        # dropping its claim.
+        with pytest.raises(CapExceeded):
+            run_uniqueness_suite(oracle, max_k=5)
+
 
 class TestVerifySimultaneous:
     def test_exact_accept(self, oracle):
@@ -269,6 +283,9 @@ class TestVerifySimultaneous:
             path_graph(31), path_good_edges(5).edges,
             witness=standard_path_ranking(5))
         assert check.ok and check.mode == "certificate"
+        assert check.detail == (
+            "witness ranking valid on the union with 5 labels; host rank >= 5 "
+            "(path on 31 vertices exhibited in the host)")
 
     def test_certificate_for_thirty_two_cycle(self, oracle):
         check = oracle.verify_simultaneous(
@@ -311,11 +328,11 @@ class TestSearchHygiene:
             FamilySpec.cycle(4), FamilySpec.multipartite(3, 2, 2),
             FamilySpec.multipartite(2, 2, 2), FamilySpec.joined(3),
             FamilySpec.joined(4))]
-        hosts += [cycle_graph(16).induced_subgraph(range(2, 14)),
-                  random_graph(Random(410), 10, 0.35).induced_subgraph(
-                      {1, 2, 3, 5, 6, 8, 9, 10}),
-                  # same adjacency as the full 10-vertex graph below
-                  Graph(10, [(1, 2), (2, 3), (3, 4), (5, 6)], range(1, 8)),
+        hosts += [induced(cycle_graph(16), range(2, 14)),
+                  induced(random_graph(Random(410), 10, 0.35),
+                          (1, 2, 3, 5, 6, 8, 9, 10)),
+                  induced(Graph(10, [(1, 2), (2, 3), (3, 4), (5, 6)]), range(1, 8)),
+                  # isolated vertices 7..10
                   Graph(10, [(1, 2), (2, 3), (3, 4), (5, 6)])]
         shared = RankOracle()
         for g in hosts:
@@ -330,14 +347,10 @@ class TestSearchHygiene:
                 assert v.augmented_rank == fresh
 
     def test_one_engine_per_adjacency(self):
-        # Candidate edges add no engines, and graphs that differ only in
-        # isolated members share one.
+        # Candidate edges add no engines.
         oracle = RankOracle()
         oracle.good_edge_set(cycle_graph(8))
-        es = [(1, 2), (2, 3)]
-        oracle.rank_number(Graph(6, es, range(1, 4)))
-        oracle.rank_number(Graph(6, es))
-        assert len(oracle._engines) == 2
+        assert len(oracle._engines) == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_under_relabeling(self, oracle, seed):
