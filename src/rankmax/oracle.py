@@ -7,7 +7,9 @@ runs that recursion over connected-subset bitmasks with memoization,
 pruned by a certified lower bound (a path exhibited inside the component)
 and by twins (one refuted vertex refutes every vertex with the same
 neighbourhood), and skipped entirely when the label budget covers every
-vertex.
+vertex.  Classifying every non-edge searches one non-edge per twin orbit:
+swapping two twins of the host is an automorphism, so it carries an added
+edge to an equivalent one.
 
 Everything here is exact: order caps trigger explicit refusal, never
 silent approximation.
@@ -16,7 +18,7 @@ silent approximation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .construct import EdgeSet
 from .graph import Graph, bits, components_masks, edge
@@ -84,14 +86,17 @@ class SimultaneousCheck:
 def longest_path_length(g: Graph) -> int:
     """Length (vertex count) of a path exhibited in the graph.
 
-    Greedy depth-first walks from every start vertex, preferring neighbors
-    with the fewest onward options; exact on paths and cycles, best-effort
+    Greedy depth-first walks from each start vertex, lowest degree first,
+    preferring neighbors with the fewest onward options, until a walk covers
+    every vertex; exact on paths and cycles (in linear time), best-effort
     elsewhere.  Only ever used as a certified lower bound.
     """
     adj = g.adjacency
     mask = g.members
     best = 1
-    for start in bits(mask):
+    for start in sorted(bits(mask), key=lambda v: (adj[v].bit_count(), v)):
+        if best == g.n:
+            break
         seen = 1 << start
         v = start
         length = 1
@@ -105,6 +110,23 @@ def longest_path_length(g: Graph) -> int:
             length += 1
         best = max(best, length)
     return best
+
+
+def _twin_representatives(adj: tuple[int, ...]) -> list[int]:
+    """The smallest twin of each vertex (itself if it has none), indexed by
+    vertex.  False twins share an open neighbourhood and true twins a closed
+    one; no vertex has twins of both kinds, since a false twin of v would be
+    adjacent to a true twin of v and so to v."""
+    rep = list(range(len(adj)))
+    first: dict[int, int] = {}  # open or closed neighbourhood -> first vertex
+    for v in range(1, len(adj)):
+        for nbhd in (adj[v], adj[v] | 1 << v):
+            if nbhd in first:
+                rep[v] = first[nbhd]
+                break
+        else:
+            first[adj[v]] = first[adj[v] | 1 << v] = v
+    return rep
 
 
 class _Engine:
@@ -309,9 +331,27 @@ class RankOracle:
 
     def good_edge_set(self, g: Graph, family: FamilySpec | None = None
                       ) -> tuple[EdgeSet, list[EdgeVerdict]]:
-        """Classify every non-edge; returns the good ones plus all verdicts."""
+        """Classify every non-edge; returns the good ones plus all verdicts,
+        in `g.non_edges()` order.
+
+        One non-edge per pair of twin classes is searched, and the others
+        copy its verdict.  Swapping two twins fixes the host and maps xw to
+        x'w, so G + xw and G + x'w are isomorphic; adjacency between two
+        classes is uniform, and the pairs inside one class, or across two,
+        form one orbit under such swaps.
+        """
         base, _ = self.rank_number(g)
-        verdicts = [self.classify_edge(g, e, base) for e in g.non_edges()]
+        rep = _twin_representatives(g.adjacency)
+        searched: dict[tuple[int, int], EdgeVerdict] = {}
+        verdicts = []
+        for u, v in g.non_edges():
+            key = (min(rep[u], rep[v]), max(rep[u], rep[v]))
+            hit = searched.get(key)
+            if hit is None:
+                hit = searched[key] = self.classify_edge(g, (u, v), base)
+            else:
+                hit = replace(hit, edge=(u, v))
+            verdicts.append(hit)
         good = tuple(v.edge for v in verdicts if v.is_good)
         return EdgeSet(family, good, ("oracle",) * len(good)), verdicts
 

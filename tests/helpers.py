@@ -150,6 +150,26 @@ def reference_rank(g: Graph) -> int:
     return max(connected_rank(c) for c in components(frozenset(adj)))
 
 
+def greedy_path_all_starts(g: Graph) -> int:
+    """Longest of the greedy walks from every start vertex, each step going
+    to the unvisited neighbor with the fewest unvisited neighbors (ties to
+    the smaller vertex): the certificate's path bound without its start
+    order or early stop."""
+    best = 1
+    for start in g.vertices():
+        seen = {start}
+        v = start
+        while True:
+            options = [u for u in g.neighbors(v) if u not in seen]
+            if not options:
+                break
+            v = min(options, key=lambda u: (
+                sum(w not in seen for w in g.neighbors(u)), u))
+            seen.add(v)
+        best = max(best, len(seen))
+    return best
+
+
 def blow_up(rng: Random, base: Graph | None = None) -> Graph:
     """Each vertex of `base` (by default a random graph on 2..4 vertices)
     replaced by an independent set or a clique of 1..3 vertices, which are

@@ -194,6 +194,20 @@ class TestVerify:
         assert "16/16 claims hold" in res.stdout
         assert "cycle-simultaneous-k6" in res.stdout
 
+    def test_cycle_certificates_up_to_1024_vertices(self):
+        # The certificate's path walk stops once it covers the host, so the
+        # 1024-cycle certifies in well under a second.
+        res = run_cli("verify", "--suite", "cycle", "--max-k", "10")
+        assert res.returncode == 0
+        assert "28/28 claims hold" in res.stdout
+
+    def test_uniqueness_above_the_enumeration_cap_is_refused(self):
+        # k = 5 asks for the optimal rankings of P_31, above the listing
+        # cap: refused, not reported as holding without being checked.
+        res = run_cli("verify", "--suite", "uniqueness", "--max-k", "5")
+        assert_one_line_usage_error(res)
+        assert res.stdout == ""
+
 
 class TestExport:
     def test_dot_labels_and_styling(self):

@@ -9,10 +9,12 @@ from rankmax import (CapExceeded, FamilySpec, Graph, RankOracle, Ranking,
                      family_ranking, is_valid_ranking, longest_path_length,
                      path_good_edges, standard_cycle_ranking,
                      standard_path_ranking)
+from rankmax.oracle import _Engine
 from rankmax.verify import run_uniqueness_suite
 from helpers import (all_graphs, blow_up, brute_rank, complete_graph,
-                     cycle_graph, path_graph, random_graph, reference_rank,
-                     star_graph, valid_by_path_definition)
+                     cycle_graph, greedy_path_all_starts, path_graph,
+                     random_graph, reference_rank, star_graph,
+                     valid_by_path_definition)
 
 HP3 = {(1, 4), (2, 4), (4, 6), (4, 7)}
 
@@ -35,6 +37,13 @@ def partitions(n, largest):
     for first in range(min(n, largest), 0, -1):
         for rest in partitions(n - first, first):
             yield (first, *rest)
+
+
+def is_twin_free(g):
+    """No two vertices share an open or a closed neighbourhood."""
+    open_ = {g.neighbors_mask(v) for v in g.vertices()}
+    closed = {g.neighbors_mask(v) | 1 << v for v in g.vertices()}
+    return len(open_ | closed) == 2 * g.n
 
 
 def small_blow_ups(seeds, base=None, count=None):
@@ -209,6 +218,48 @@ class TestGoodEdgeSet:
         g = build_family(FamilySpec.multipartite(2, 2))
         good, _ = oracle.good_edge_set(g)
         assert good.edge_set() == {(1, 2), (3, 4)}
+
+
+class TestTwinOrbits:
+    """good_edge_set searches one non-edge per pair of twin classes and
+    copies its verdict to the rest of the orbit; every verdict must equal a
+    search of its own edge."""
+
+    HOSTS = ([build_family(FamilySpec.multipartite(*p))
+              for n in range(2, 8) for p in partitions(n, n) if len(p) >= 2]
+             + [build_family(FamilySpec.joined(n)) for n in range(2, 6)]
+             + BLOW_UPS
+             # no twins, so every non-edge is searched
+             + [path_graph(7), cycle_graph(8),
+                Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 5)])]
+             + [g for g in (random_graph(Random(s), 8, 0.4) for s in range(950, 960))
+                if is_twin_free(g)][:3])
+
+    @pytest.mark.parametrize("g", HOSTS, ids=[f"host{i}" for i in range(len(HOSTS))])
+    def test_verdicts_equal_per_edge_searches(self, g):
+        good, verdicts = RankOracle().good_edge_set(g)
+        per_edge = RankOracle()
+        base = per_edge.rank_number(g)[0]
+        assert verdicts == [per_edge.classify_edge(g, e, base) for e in g.non_edges()]
+        assert good.edges == tuple(v.edge for v in verdicts if v.is_good)
+
+    @pytest.mark.parametrize("g,overlays", [
+        (build_family(FamilySpec.joined(6)), 3),
+        (build_family(FamilySpec.multipartite(4, 3, 2)), 3),
+        (cycle_graph(8), 20),
+    ], ids=["joined6", "K432", "C8"])
+    def test_one_overlay_search_per_orbit(self, monkeypatch, g, overlays):
+        calls = []
+        with_edge = _Engine.with_edge
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            return with_edge(self, u, v)
+
+        monkeypatch.setattr(_Engine, "with_edge", counted)
+        _, verdicts = RankOracle().good_edge_set(g)
+        assert len(calls) == overlays
+        assert len(verdicts) == len(g.non_edges())
 
 
 class TestEnumerateOptimalRankings:
@@ -390,9 +441,21 @@ class TestLongestPath:
     def test_path_and_cycle_are_exact(self):
         assert longest_path_length(path_graph(31)) == 31
         assert longest_path_length(cycle_graph(32)) == 32
+        assert longest_path_length(path_graph(1023)) == 1023
+        assert longest_path_length(cycle_graph(1024)) == 1024
 
     def test_star(self):
         assert longest_path_length(star_graph(6)) == 3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_walk_from_every_start(self, seed):
+        # Lowest-degree starts first and the stop at a covering walk keep
+        # the maximum over all starts.
+        rng = Random(900 + seed)
+        for n in range(1, 15):
+            for p in (0.15, 0.3, 0.5):
+                g = random_graph(rng, n, p)
+                assert longest_path_length(g) == greedy_path_all_starts(g)
 
 
 class TestFamilyRanks:
