@@ -14,7 +14,7 @@ import sys
 from .construct import (all_levels_good_edges, family_good_edges, mu_value,
                         published_readings)
 from .export import family_bundle, graph_to_dot
-from .oracle import CapExceeded, RankOracle, check_cap
+from .oracle import DEFAULT_CAP, CapExceeded, RankOracle, check_cap
 from .ranking import FamilySpec, build_family, family_ranking
 from .verify import SUITES, compare_constructive_oracle, run_suite
 
@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument("--out", metavar="PATH", help="write to a file")
         if cap:
-            p.add_argument("--cap", type=positive_int, default=20,
-                           help="exact-search order cap (default 20)")
+            p.add_argument("--cap", type=positive_int, default=DEFAULT_CAP,
+                           help=f"exact-search order cap (default {DEFAULT_CAP})")
 
     p = sub.add_parser("generate", help="emit a family graph and its ranking")
     _family_arguments(p)

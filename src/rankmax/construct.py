@@ -168,7 +168,7 @@ def non_neighbor_edges(g: Graph, component: int, v: int) -> EdgeSet:
     """Edges from v to every non-neighbor of v inside the given component."""
     if not (component >> v) & 1:
         raise ValueError(f"vertex {v} is not in the component")
-    others = component & ~(1 << v) & ~g.neighbors_mask(v)
+    others = component & ~(1 << v) & ~g.adjacency[v]
     tagged = {edge(v, w): f"at:{v}" for w in bits(others)}
     return _make_edge_set(None, tagged)
 

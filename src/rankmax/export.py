@@ -7,16 +7,13 @@ from .graph import Graph
 from .ranking import FamilySpec, Ranking
 
 
-def graph_to_dot(g: Graph, ranking: Ranking | None = None,
-                 extra_edges: EdgeSet | None = None, name: str = "G") -> str:
+def graph_to_dot(g: Graph, ranking: Ranking,
+                 extra_edges: EdgeSet | None = None) -> str:
     """DOT text with ranking values as node labels; extra edges are drawn
     dashed so added edges stand apart from the host graph."""
-    lines = [f"graph {name} {{", "  node [shape=circle]"]
+    lines = ["graph G {", "  node [shape=circle]"]
     for v in g.vertices():
-        if ranking is not None:
-            lines.append(f'  v{v} [label="{ranking.label(v)}"]')
-        else:
-            lines.append(f'  v{v} [label="{v}"]')
+        lines.append(f'  v{v} [label="{ranking.label(v)}"]')
     for u, v in g.edges:
         lines.append(f"  v{u} -- v{v}")
     if extra_edges is not None:

@@ -103,10 +103,6 @@ class Graph:
         return list(range(1, self.n + 1))
 
     @property
-    def vertex_count(self) -> int:
-        return self.n
-
-    @property
     def edge_count(self) -> int:
         return len(self._edges)
 
@@ -115,9 +111,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 < u <= self.n and (self._adj[u] >> v) & 1 == 1
-
-    def neighbors_mask(self, v: int) -> int:
-        return self._adj[v]
 
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self._adj[v]))
@@ -157,10 +150,6 @@ class Graph:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self._edges]}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Graph":
-        return cls(int(obj["n"]), [tuple(e) for e in obj["edges"]])
-
     def __eq__(self, other):
         if isinstance(other, Graph):
             return self.n == other.n and self._edges == other._edges
@@ -170,4 +159,4 @@ class Graph:
         return hash((self.n, self._edges))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, vertices={self.vertex_count}, edges={self.edge_count})"
+        return f"Graph(n={self.n}, edges={self.edge_count})"

@@ -9,7 +9,11 @@ and by twins (one refuted vertex refutes every vertex with the same
 neighbourhood), and skipped entirely when the label budget covers every
 vertex.  Classifying every non-edge searches one non-edge per twin orbit:
 swapping two twins of the host is an automorphism, so it carries an added
-edge to an equivalent one.
+edge to an equivalent one.  A graph with added edges (one candidate edge,
+or a whole edge set checked for simultaneous addition) is searched on an
+overlay of the host's engine, which shares the host's work on every
+component that contains no added edge; an oracle keeps only the engine of
+the host it was last given.
 
 Everything here is exact: order caps trigger explicit refusal, never
 silent approximation.
@@ -25,7 +29,6 @@ from .graph import Graph, bits, components_masks, edge
 from .ranking import FamilySpec, Ranking, is_valid_ranking
 
 DEFAULT_CAP = 20
-ENUM_CAP = 16  # order cap for listing every optimal ranking
 
 
 class CapExceeded(Exception):
@@ -132,27 +135,33 @@ def _twin_representatives(adj: tuple[int, ...]) -> list[int]:
 class _Engine:
     """Search state bound to one adjacency structure.
 
-    `with_edge(u, v)` gives an overlay that searches the host plus one edge.
-    A component lacking u or v induces the same subgraph in both, so the
+    `with_edges(pairs)` gives an overlay that searches the host plus those
+    edges.  A component holding at most one endpoint of any added edge
+    contains no added edge and induces the same subgraph in both, so the
     overlay hands it to the host's memo and lower-bound cache and keeps
-    scratch state only for components holding both endpoints."""
+    scratch state only for components holding two or more endpoints.  (A
+    component can hold one whole added edge and miss an endpoint of
+    another, so missing an endpoint is not enough.)"""
 
-    __slots__ = ("adj", "memo", "lb_cache", "nodes", "host", "pair")
+    __slots__ = ("adj", "memo", "lb_cache", "nodes", "host", "ends")
 
     def __init__(self, adj: tuple[int, ...], host: "_Engine | None" = None,
-                 pair: int = 0):
+                 ends: int = 0):
         self.adj = adj
         self.memo: dict[tuple[int, int], bool] = {}
         self.lb_cache: dict[int, int] = {}
         self.nodes = 0
         self.host = host
-        self.pair = pair  # endpoint mask of the overlay edge; 0 on a host
+        self.ends = ends  # mask of every added edge's endpoints; 0 on a host
 
-    def with_edge(self, u: int, v: int) -> "_Engine":
+    def with_edges(self, pairs) -> "_Engine":
         adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return _Engine(tuple(adj), self, (1 << u) | (1 << v))
+        ends = 0
+        for u, v in pairs:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            ends |= (1 << u) | (1 << v)
+        return _Engine(tuple(adj), self, ends)
 
     def _bfs_far(self, mask: int, start: int) -> tuple[int, int]:
         adj = self.adj
@@ -206,7 +215,8 @@ class _Engine:
             return True
         if budget <= 0:
             return False
-        if comp & self.pair != self.pair:
+        shared = comp & self.ends
+        if self.host is not None and shared & (shared - 1) == 0:
             return self.host.feasible_connected(comp, budget)
         if self.lower_bound(comp) > budget:
             return False
@@ -278,23 +288,23 @@ class _Engine:
 
 
 class RankOracle:
-    """Ground-truth rank numbers and edge classifications by exact search,
-    with one engine per host adjacency and candidate edges searched on a
-    transient overlay of the host's engine."""
+    """Ground-truth rank numbers, edge classifications and simultaneous
+    checks by exact search.  The oracle keeps one engine, for the adjacency
+    it was last given, and searches every graph with added edges on a
+    transient overlay of that engine; a new host replaces it."""
 
     def __init__(self, cap: int = DEFAULT_CAP):
         self.cap = cap
-        self._engines: dict[tuple[int, ...], _Engine] = {}
+        self._host: _Engine | None = None
 
     def _engine(self, g: Graph) -> _Engine:
-        eng = self._engines.get(g.adjacency)
-        if eng is None:
-            eng = self._engines[g.adjacency] = _Engine(g.adjacency)
-        return eng
+        check_cap(g.n, self.cap)
+        if self._host is None or self._host.adj != g.adjacency:
+            self._host = _Engine(g.adjacency)
+        return self._host
 
     def rank_number(self, g: Graph) -> tuple[int, SearchStats]:
         """Exact rank number, with search statistics."""
-        check_cap(g.vertex_count, self.cap)
         eng = self._engine(g)
         nodes0 = eng.nodes
         t0 = time.perf_counter()
@@ -306,7 +316,6 @@ class RankOracle:
 
     def exists_ranking(self, g: Graph, k: int) -> bool:
         """True iff the graph has a ranking with labels at most k."""
-        check_cap(g.vertex_count, self.cap)
         return self._engine(g).feasible(g.members, k)
 
     def classify_edge(self, g: Graph, e: tuple[int, int],
@@ -321,10 +330,9 @@ class RankOracle:
         u, v = edge(*e)
         if g.has_edge(u, v) or not (g.has_vertex(u) and g.has_vertex(v)):
             raise ValueError(f"({u},{v}) is not a non-edge of the host graph")
-        check_cap(g.vertex_count, self.cap)
         if base_rank is None:
             base_rank, _ = self.rank_number(g)
-        good = self._engine(g).with_edge(u, v).feasible(g.members, base_rank)
+        good = self._engine(g).with_edges([(u, v)]).feasible(g.members, base_rank)
         return EdgeVerdict(edge=(u, v), base_rank=base_rank,
                            augmented_rank=base_rank if good else base_rank + 1,
                            verdict="good" if good else "forbidden")
@@ -359,13 +367,14 @@ class RankOracle:
                             ) -> SimultaneousCheck:
         """Check that adding the whole edge set keeps the rank number.
 
-        Within the cap this is an exact host rank plus one search budgeted
-        at it: adding edges never lowers the rank number, so that search
-        decides.  Only on a reject is the union's rank searched too, and the
-        answer is two-sided.  Beyond the cap, a certificate is assembled
-        instead: a valid witness ranking on the union bounds the union's
-        rank from above, and a path exhibited in the host bounds the host's
-        rank from below (a path on m vertices has rank number
+        Within the cap this is an exact host rank plus one search of the
+        union budgeted at it, on an overlay of the host's engine: adding
+        edges never lowers the rank number, so that search decides.  Only
+        on a reject is the union's rank searched too, on the same overlay,
+        and the answer is two-sided.  Beyond the cap, a certificate is
+        assembled instead: a valid witness ranking on the union bounds the
+        union's rank from above, and a path exhibited in the host bounds the
+        host's rank from below (a path on m vertices has rank number
         bit_length(m), matched against exact search for every length within
         the cap).  Equality follows when the two bounds meet; a
         certificate-mode failure means "not certified", not "disproved".
@@ -375,10 +384,11 @@ class RankOracle:
             if g.has_edge(u, v):
                 raise ValueError(f"({u},{v}) is already an edge of the host graph")
         union = g.add_edges(added)
-        if union.vertex_count <= self.cap:
+        if g.n <= self.cap:
             base, _ = self.rank_number(g)
-            fits = self._engine(union).feasible(union.members, base)
-            aug = base if fits else self.rank_number(union)[0]
+            overlay = self._engine(g).with_edges(added)
+            fits = overlay.feasible(g.members, base)
+            aug = base if fits else overlay.rank(g.members)
             return SimultaneousCheck(
                 ok=aug == base, mode="exact", base_rank=base, union_rank=aug,
                 detail=f"exact search: host rank {base}, union rank {aug}")
@@ -402,7 +412,6 @@ class RankOracle:
 
     def enumerate_optimal_rankings(self, g: Graph) -> list[Ranking]:
         """All valid rankings that use labels 1..rank_number(g), sorted."""
-        check_cap(g.vertex_count, ENUM_CAP)
         value, _ = self.rank_number(g)
         assignments = self._engine(g).enumerate_labelings(g.members, value)
         rankings = sorted(tuple(a[v] for v in range(1, g.n + 1)) for a in assignments)

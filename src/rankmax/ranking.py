@@ -47,10 +47,6 @@ class Ranking:
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels)}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Ranking":
-        return cls(tuple(int(x) for x in obj["labels"]))
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -129,15 +125,6 @@ class FamilySpec:
         if self.kind == "multipartite":
             return {"kind": self.kind, "parts": list(self.parts)}
         return {"kind": self.kind, "n": self.n}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FamilySpec":
-        kind = obj["kind"]
-        if kind in ("path", "cycle"):
-            return cls(kind, k=int(obj["k"]))
-        if kind == "multipartite":
-            return cls(kind, parts=tuple(int(m) for m in obj["parts"]))
-        return cls(kind, n=int(obj["n"]))
 
 
 def part_ranges(spec: FamilySpec) -> list[range]:

@@ -242,8 +242,8 @@ def run_suite(suite: str, oracle: RankOracle, max_k: int = 4) -> list[ClaimResul
     if suite in ("paper-all", "joined"):
         res += run_joined_suite(oracle)
     if suite in ("paper-all", "uniqueness"):
-        # paper-all keeps its k <= 4 part; the suite on its own lets a larger
-        # k reach the enumeration cap and be refused there.
+        # paper-all keeps its k <= 4 part; the suite on its own takes any k,
+        # and a host above the oracle's cap is refused there.
         top = max_k if suite == "uniqueness" else min(max_k, 4)
         res += run_uniqueness_suite(oracle, max_k=top)
     return res

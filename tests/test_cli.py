@@ -28,6 +28,7 @@ class TestGenerate:
         res = run_cli("generate", "path", "-k", "3", "--json")
         assert res.returncode == 0
         obj = json.loads(res.stdout)
+        assert obj["family"] == {"kind": "path", "k": 3}
         assert obj["graph"]["n"] == 7
         assert len(obj["graph"]["edges"]) == 6
         assert obj["ranking"]["labels"] == [1, 2, 1, 3, 1, 2, 1]
@@ -38,12 +39,16 @@ class TestGenerate:
 
     def test_joined_edge_count(self):
         res = run_cli("generate", "joined", "-n", "5", "--json")
-        assert len(json.loads(res.stdout)["graph"]["edges"]) == 21
+        obj = json.loads(res.stdout)
+        assert obj["family"] == {"kind": "joined", "n": 5}
+        assert len(obj["graph"]["edges"]) == 21
 
     def test_deterministic_output(self):
         a = run_cli("generate", "multipartite", "--parts", "4", "3", "2", "--json")
         b = run_cli("generate", "multipartite", "--parts", "4", "3", "2", "--json")
         assert a.stdout == b.stdout
+        assert json.loads(a.stdout)["family"] == {"kind": "multipartite",
+                                                  "parts": [4, 3, 2]}
 
     def test_missing_parameter_is_usage_error(self):
         assert run_cli("generate", "path").returncode == 2
@@ -202,11 +207,20 @@ class TestVerify:
         assert "28/28 claims hold" in res.stdout
 
     def test_uniqueness_above_the_enumeration_cap_is_refused(self):
-        # k = 5 asks for the optimal rankings of P_31, above the listing
+        # k = 5 asks for the optimal rankings of P_31, above the default
         # cap: refused, not reported as holding without being checked.
         res = run_cli("verify", "--suite", "uniqueness", "--max-k", "5")
         assert_one_line_usage_error(res)
+        assert "cap of 20" in res.stderr
         assert res.stdout == ""
+
+    def test_uniqueness_within_a_raised_cap(self):
+        # Listing is bounded by --cap like every exact search: P_31 and
+        # C_32 fit within 40.
+        res = run_cli("verify", "--suite", "uniqueness", "--max-k", "5",
+                      "--cap", "40")
+        assert res.returncode == 0
+        assert "8/8 claims hold" in res.stdout
 
 
 class TestExport:

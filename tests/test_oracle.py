@@ -41,15 +41,15 @@ def partitions(n, largest):
 
 def is_twin_free(g):
     """No two vertices share an open or a closed neighbourhood."""
-    open_ = {g.neighbors_mask(v) for v in g.vertices()}
-    closed = {g.neighbors_mask(v) | 1 << v for v in g.vertices()}
+    open_ = {g.adjacency[v] for v in g.vertices()}
+    closed = {g.adjacency[v] | 1 << v for v in g.vertices()}
     return len(open_ | closed) == 2 * g.n
 
 
 def small_blow_ups(seeds, base=None, count=None):
     """Blow-ups of at most ten vertices, from the first seeds that give one."""
     hosts = (blow_up(Random(s), base) for s in seeds)
-    return [g for g in hosts if g.vertex_count <= 10][:count]
+    return [g for g in hosts if g.n <= 10][:count]
 
 
 # Graphs made almost entirely of twin classes: every complete multipartite
@@ -121,8 +121,8 @@ class TestTwinRichGraphs:
     def assert_exact(oracle, g):
         value = oracle.rank_number(g)[0]
         assert value == reference_rank(g)
-        if g.vertex_count <= 6:
-            checker = (by_is_valid_ranking if g.vertex_count == 6
+        if g.n <= 6:
+            checker = (by_is_valid_ranking if g.n == 6
                        else valid_by_path_definition)
             assert value == brute_rank(g, checker)
         for e in g.non_edges():
@@ -250,13 +250,13 @@ class TestTwinOrbits:
     ], ids=["joined6", "K432", "C8"])
     def test_one_overlay_search_per_orbit(self, monkeypatch, g, overlays):
         calls = []
-        with_edge = _Engine.with_edge
+        with_edges = _Engine.with_edges
 
-        def counted(self, u, v):
-            calls.append((u, v))
-            return with_edge(self, u, v)
+        def counted(self, pairs):
+            calls.append(pairs)
+            return with_edges(self, pairs)
 
-        monkeypatch.setattr(_Engine, "with_edge", counted)
+        monkeypatch.setattr(_Engine, "with_edges", counted)
         _, verdicts = RankOracle().good_edge_set(g)
         assert len(calls) == overlays
         assert len(verdicts) == len(g.non_edges())
@@ -287,18 +287,64 @@ class TestEnumerateOptimalRankings:
         assert [r.labels for r in found] == sorted(r.labels for r in found)
         assert all(is_valid_ranking(cycle_graph(8), r) for r in found)
 
-    def test_enumeration_cap(self, oracle):
-        with pytest.raises(CapExceeded):
-            oracle.enumerate_optimal_rankings(path_graph(17))
+    def test_enumeration_cap(self):
+        # Listing is bounded by the oracle's own cap, like every search.
+        with pytest.raises(CapExceeded, match="cap of 16"):
+            RankOracle(cap=16).enumerate_optimal_rankings(path_graph(17))
+        assert len(RankOracle(cap=15).enumerate_optimal_rankings(path_graph(15))) == 1
 
     def test_uniqueness_suite_refuses_above_the_cap(self, oracle):
-        # P_31 is above the enumeration cap: the suite raises rather than
+        # P_31 is above the default cap: the suite raises rather than
         # dropping its claim.
         with pytest.raises(CapExceeded):
             run_uniqueness_suite(oracle, max_k=5)
 
 
+def simultaneous_cases():
+    """(host, added) pairs for the exact simultaneous check: seeded random
+    graphs of 4-10 vertices with 1-6 added non-edges, an empty edge set, and
+    each family construction within the cap, alone and with one more
+    non-edge (the construction is inclusion-maximal, so that one rejects)."""
+    rng = Random(1200)
+    cases = []
+    while len(cases) < 240:
+        g = random_graph(rng, rng.randint(4, 10), rng.uniform(0.15, 0.6))
+        non = g.non_edges()
+        if non:
+            cases.append((g, rng.sample(non, min(len(non), rng.randint(1, 6)))))
+    cases.append((cycle_graph(8), []))
+    for spec in (FamilySpec.path(3), FamilySpec.path(4), FamilySpec.cycle(3),
+                 FamilySpec.cycle(4), FamilySpec.multipartite(4, 3, 2),
+                 FamilySpec.multipartite(3, 3, 2), FamilySpec.multipartite(5, 1),
+                 *map(FamilySpec.joined, range(2, 6))):
+        g = build_family(spec)
+        good = list(family_good_edges(spec).edges)
+        extra = next(e for e in g.non_edges() if e not in good)
+        cases += [(g, good), (g, good + [extra])]
+    return cases
+
+
 class TestVerifySimultaneous:
+    def test_exact_matches_a_fresh_search_of_the_union(self):
+        # The union is searched on an overlay of the host's engine; a fresh
+        # oracle on the union shares nothing with it.  One oracle checks
+        # every case, so the engine slot also changes host between cases.
+        shared = RankOracle()
+        mismatches, rejects = [], 0
+        for g, added in simultaneous_cases():
+            check = shared.verify_simultaneous(g, added)
+            base = RankOracle().rank_number(g)[0]
+            aug = RankOracle().rank_number(g.add_edges(added))[0]
+            want = (aug == base, "exact", base, aug,
+                    f"exact search: host rank {base}, union rank {aug}")
+            got = (check.ok, check.mode, check.base_rank, check.union_rank,
+                   check.detail)
+            if got != want:
+                mismatches.append((g, added, got, want))
+            rejects += not check.ok
+        assert mismatches == []
+        assert 100 < rejects < 200
+
     def test_exact_accept(self, oracle):
         check = oracle.verify_simultaneous(path_graph(7), HP3)
         assert check.ok and check.mode == "exact"
@@ -398,10 +444,41 @@ class TestSearchHygiene:
                 assert v.augmented_rank == fresh
 
     def test_one_engine_per_adjacency(self):
-        # Candidate edges add no engines.
+        # Candidate edges and edge sets are searched on overlays, so the
+        # slot keeps the host's engine; a host of the same order with a
+        # different adjacency replaces it.
         oracle = RankOracle()
-        oracle.good_edge_set(cycle_graph(8))
-        assert len(oracle._engines) == 1
+        g = cycle_graph(8)
+        oracle.good_edge_set(g)
+        oracle.verify_simultaneous(g, cycle_good_edges(3).edges)
+        engine = oracle._host
+        assert engine.adj == g.adjacency and engine.host is None
+        assert oracle.rank_number(complete_graph(8))[0] == 8
+        assert oracle._host is not engine
+        assert oracle._host.adj == complete_graph(8).adjacency
+        assert oracle.rank_number(g)[0] == 4
+
+    def test_one_host_engine_per_host(self, monkeypatch):
+        built = []
+        init = _Engine.__init__
+
+        def counted(self, adj, host=None, ends=0):
+            if host is None:
+                built.append(adj)
+            init(self, adj, host, ends)
+
+        monkeypatch.setattr(_Engine, "__init__", counted)
+        oracle = RankOracle()
+        spec = FamilySpec.multipartite(4, 3, 2)
+        g = build_family(spec)
+        oracle.rank_number(g)
+        assert oracle.verify_simultaneous(g, family_good_edges(spec).edges)
+        assert not oracle.verify_simultaneous(g, g.non_edges())
+        oracle.good_edge_set(g)
+        assert built == [g.adjacency]
+        h = path_graph(7)
+        oracle.verify_simultaneous(h, HP3)
+        assert built == [g.adjacency, h.adjacency]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_under_relabeling(self, oracle, seed):

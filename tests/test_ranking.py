@@ -202,8 +202,3 @@ class TestFamilySpecValidation:
     def test_joined_needs_n_at_least_2(self):
         with pytest.raises(ValueError):
             FamilySpec.joined(1)
-
-    def test_json_round_trip(self):
-        for spec in (FamilySpec.path(4), FamilySpec.multipartite(4, 3, 2),
-                     FamilySpec.joined(5)):
-            assert FamilySpec.from_json_dict(spec.to_json_dict()) == spec
