@@ -71,8 +71,12 @@ def positive_int(text: str) -> int:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: "
+                             f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -238,6 +242,10 @@ def cmd_mu(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite in ("paper-all", "path", "cycle") and args.max_k < 3:
+        # paper-all would pass on its other suites' claims alone.
+        raise UsageError(f"--max-k {args.max_k} checks no path or cycle "
+                         "claim; the path and cycle suites start at k = 3")
     oracle = RankOracle(cap=args.cap)
     results = run_suite(args.suite, max_k=args.max_k, oracle=oracle)
     if not results:

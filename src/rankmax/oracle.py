@@ -13,7 +13,11 @@ edge to an equivalent one.  A graph with added edges (one candidate edge,
 or a whole edge set checked for simultaneous addition) is searched on an
 overlay of the host's engine, which shares the host's work on every
 component that contains no added edge; an oracle keeps only the engine of
-the host it was last given.
+the host it was last given.  A component that does contain added edges is
+bounded by the host's memo from both sides, since rank numbers are monotone
+under subgraphs: the host's subgraph on it needing more than the budget
+refutes it, and the host's fitting in the budget less one label per shared
+endpoint but one accepts it.
 
 Everything here is exact: order caps trigger explicit refusal, never
 silent approximation.
@@ -44,6 +48,10 @@ def check_cap(order: int, cap: int) -> None:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """The cost of one call: memo entries it added, nodes it expanded and
+    its wall time.  An engine reused from an earlier call keeps its memo,
+    so a repeated call reports no new entries or nodes."""
+
     memo_entries: int
     nodes_expanded: int
     wall_time: float
@@ -141,7 +149,15 @@ class _Engine:
     overlay hands it to the host's memo and lower-bound cache and keeps
     scratch state only for components holding two or more endpoints.  (A
     component can hold one whole added edge and miss an endpoint of
-    another, so missing an endpoint is not enough.)"""
+    another, so missing an endpoint is not enough.)
+
+    Such a component is first decided from the host's memo.  The host's
+    subgraph on it is a spanning subgraph, so if the host needs more than
+    the budget, so does the overlay (this prunes by the host's cached lower
+    bounds, so the overlay computes none of its own).  Fresh top labels on
+    all but one of its s shared endpoints delete every added edge inside
+    it, so if the host fits in budget - s + 1 labels, so does the overlay
+    in the budget.  Only components between the two bounds are searched."""
 
     __slots__ = ("adj", "memo", "lb_cache", "nodes", "host", "ends")
 
@@ -201,13 +217,17 @@ class _Engine:
 
     def feasible(self, mask: int, budget: int) -> bool:
         """True iff the subgraph induced by `mask` has a ranking with labels
-        at most `budget`."""
-        if mask == 0:
-            return True
+        at most `budget`.  Memoized under the same key as a component, which
+        means the same thing when `mask` is connected."""
         if budget >= mask.bit_count():
             return True
-        return all(self.feasible_connected(c, budget)
-                   for c in components_masks(self.adj, mask))
+        key = (mask, budget)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = all(
+                self.feasible_connected(c, budget)
+                for c in components_masks(self.adj, mask))
+        return hit
 
     def feasible_connected(self, comp: int, budget: int) -> bool:
         size = comp.bit_count()
@@ -215,19 +235,34 @@ class _Engine:
             return True
         if budget <= 0:
             return False
-        shared = comp & self.ends
-        if self.host is not None and shared & (shared - 1) == 0:
-            return self.host.feasible_connected(comp, budget)
-        if self.lower_bound(comp) > budget:
+        host = self.host
+        if host is not None:
+            shared = comp & self.ends
+            if shared & (shared - 1) == 0:
+                return host.feasible_connected(comp, budget)
+        elif self.lower_bound(comp) > budget:
             return False
         key = (comp, budget)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
+        if host is None:
+            result = self._split(comp, budget)
+        elif not host.feasible(comp, budget):
+            result = False  # the host's subgraph on comp spans the overlay's
+        elif host.feasible(comp, budget + 1 - shared.bit_count()):
+            result = True  # fresh top labels on all shared endpoints but one
+        else:
+            result = self._split(comp, budget)
+        self.memo[key] = result
+        return result
+
+    def _split(self, comp: int, budget: int) -> bool:
+        """True iff deleting some vertex of the connected `comp` leaves
+        components that each fit in `budget - 1` labels."""
         adj = self.adj
         order = sorted(bits(comp),
                        key=lambda v: (-(adj[v] & comp).bit_count(), v))
-        result = False
         refuted: set[int] = set()
         for v in order:
             # A twin of a refuted vertex (same open neighbourhood in comp if
@@ -239,12 +274,10 @@ class _Engine:
             self.nodes += 1
             rest = comp & ~(1 << v)
             if all(self.feasible_connected(c, budget - 1)
-                   for c in components_masks(self.adj, rest)):
-                result = True
-                break
+                   for c in components_masks(adj, rest)):
+                return True
             refuted.update((nbrs, nbrs | (1 << v)))
-        self.memo[key] = result
-        return result
+        return False
 
     def rank(self, mask: int) -> int:
         if mask == 0:
@@ -306,10 +339,10 @@ class RankOracle:
     def rank_number(self, g: Graph) -> tuple[int, SearchStats]:
         """Exact rank number, with search statistics."""
         eng = self._engine(g)
-        nodes0 = eng.nodes
+        nodes0, memo0 = eng.nodes, len(eng.memo)
         t0 = time.perf_counter()
         value = eng.rank(g.members)
-        stats = SearchStats(memo_entries=len(eng.memo),
+        stats = SearchStats(memo_entries=len(eng.memo) - memo0,
                             nodes_expanded=eng.nodes - nodes0,
                             wall_time=time.perf_counter() - t0)
         return value, stats

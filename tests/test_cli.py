@@ -33,6 +33,12 @@ class TestGenerate:
         assert len(obj["graph"]["edges"]) == 6
         assert obj["ranking"]["labels"] == [1, 2, 1, 3, 1, 2, 1]
 
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        res = run_cli("generate", "path", "-k", "3",
+                      "--out", str(tmp_path / "missing" / "x"))
+        assert_one_line_usage_error(res)
+        assert "cannot write" in res.stderr
+
     def test_cycle_top_label(self):
         res = run_cli("generate", "cycle", "-k", "4", "--json")
         assert json.loads(res.stdout)["ranking"]["labels"][15] == 5
@@ -188,6 +194,19 @@ class TestVerify:
         assert res.returncode == 0
         obj = json.loads(res.stdout)
         assert obj["passed"] and all(c["passed"] for c in obj["claims"])
+
+    @pytest.mark.parametrize("max_k", ["2", "0", "-1"])
+    def test_paper_all_without_path_or_cycle_claims_is_refused(self, max_k):
+        # The multipartite, joined and uniqueness claims alone would pass.
+        res = run_cli("verify", "--suite", "paper-all", "--max-k", max_k)
+        assert_one_line_usage_error(res)
+        assert "start at k = 3" in res.stderr
+        assert res.stdout == ""
+
+    def test_uniqueness_from_k_two(self):
+        res = run_cli("verify", "--suite", "uniqueness", "--max-k", "2")
+        assert res.returncode == 0
+        assert "2/2 claims hold" in res.stdout
 
     def test_zero_claims_is_usage_error(self):
         assert_one_line_usage_error(

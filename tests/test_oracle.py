@@ -406,10 +406,104 @@ class TestVerifySimultaneous:
         assert not check.ok
 
 
+def random_tree(rng, n):
+    return Graph(n, [(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
+
+
+def chorded_cycle(rng, n):
+    g = cycle_graph(n)
+    return g.add_edges(rng.sample(g.non_edges(), rng.randint(1, 3)))
+
+
+def star_and_matching_cases():
+    """(host, added) pairs on sparse hosts of 7-12 vertices where one
+    component of the union holds several added edges: a star of 2-4 added
+    edges at one vertex, or a matching of 2-3 disjoint added edges."""
+    rng = Random(1300)
+    cases = []
+    for i in range(60):
+        n = rng.randint(7, 12)
+        g = (random_tree(rng, n), chorded_cycle(rng, n), path_graph(n))[i % 3]
+        non = g.non_edges()
+        if i % 2:
+            center = rng.randint(1, n)
+            spokes = [e for e in non if center in e]
+            added = rng.sample(spokes, min(len(spokes), rng.randint(2, 4)))
+        else:
+            size, added, used = rng.randint(2, 3), [], set()
+            for u, v in rng.sample(non, len(non)):
+                if len(added) < size and not {u, v} & used:
+                    added.append((u, v))
+                    used |= {u, v}
+        cases.append((g, added))
+    return cases
+
+
+class TestHostBounds:
+    """An overlay component holding added edges is first decided from the
+    host's memo: refuted when the host needs more than the budget, accepted
+    when the host fits in the budget less one label per shared endpoint but
+    one.  Both host checks memoize feasible(mask, budget) in the host's
+    memo, under the key a connected component uses."""
+
+    @pytest.mark.parametrize("g", [
+        path_graph(15), cycle_graph(16),
+        build_family(FamilySpec.multipartite(4, 3, 2)),
+        *(random_graph(Random(1400 + s), 11, 0.22) for s in range(4))],
+        ids=["P15", "C16", "K432", *(f"random{s}" for s in range(4))])
+    def test_host_memo_entries_equal_fresh_searches(self, g):
+        oracle = RankOracle()
+        _, verdicts = oracle.good_edge_set(g)
+        good = [v.edge for v in verdicts if v.is_good]
+        oracle.verify_simultaneous(g, good[:4])
+        oracle.verify_simultaneous(g, g.non_edges()[:3])
+        memo = oracle._host.memo
+        assert len(memo) > 0
+        wrong = {key: value for key, value in memo.items()
+                 if _Engine(g.adjacency).feasible(*key) != value}
+        assert wrong == {}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sparse_verdicts_match_the_reference_recursion(self, seed):
+        rng = Random(1500 + seed)
+        n = rng.randint(8, 13)
+        g = (random_tree if seed % 2 else chorded_cycle)(rng, n)
+        base = reference_rank(g)
+        _, verdicts = RankOracle().good_edge_set(g)
+        assert [v.is_good for v in verdicts] == [
+            reference_rank(g.add_edges([e])) == base for e in g.non_edges()]
+
+    def test_stars_and_matchings_match_a_fresh_search_of_the_union(self):
+        # Several added edges share one component of the union, so the
+        # accepting bound gives up one label per shared endpoint but one.
+        shared = RankOracle()
+        mismatches, rejects = [], 0
+        for g, added in star_and_matching_cases():
+            check = shared.verify_simultaneous(g, added)
+            base = RankOracle().rank_number(g)[0]
+            aug = RankOracle().rank_number(g.add_edges(added))[0]
+            got = (check.ok, check.base_rank, check.union_rank)
+            if got != (aug == base, base, aug):
+                mismatches.append((g, added, got, aug))
+            rejects += not check.ok
+        assert mismatches == []
+        assert 10 < rejects < 50
+
+
 class TestSearchHygiene:
     def test_cap_refusal(self, oracle):
         with pytest.raises(CapExceeded):
             oracle.rank_number(path_graph(21))
+
+    def test_stats_are_per_call(self):
+        oracle = RankOracle()
+        g = cycle_graph(16)
+        _, first = oracle.rank_number(g)
+        assert first.memo_entries == len(oracle._host.memo) > 0
+        assert first.nodes_expanded > 0
+        oracle.good_edge_set(g)
+        _, again = oracle.rank_number(g)
+        assert (again.nodes_expanded, again.memo_entries) == (0, 0)
 
     def test_cap_is_configurable(self):
         assert RankOracle(cap=32).rank_number(cycle_graph(32))[0] == 6
