@@ -2,13 +2,12 @@
 additions for paths, cycles, complete multipartite graphs, and joined
 cliques."""
 
-from .construct import (EdgeSet, all_levels_good_edges, cycle_good_edges,
-                        family_good_edges, flip_bit, joined_good_edges,
-                        level_good_edges, mu_cycle, mu_joined, mu_multipartite,
-                        mu_path, mu_path_recurrence, mu_value,
+from .construct import (EdgeSet, all_levels_good_edges, closure_edges,
+                        cycle_good_edges, family_good_edges, flip_bit,
+                        joined_good_edges, mu_cycle, mu_joined,
+                        mu_multipartite, mu_path, mu_path_recurrence, mu_value,
                         multipartite_forbidden_edges, multipartite_good_edges,
-                        next_center, non_neighbor_edges, path_good_edges,
-                        path_good_targets, vertices_labeled_at_least)
+                        next_center, path_good_edges)
 from .graph import Graph, bits, components_masks, edge, full_mask, mask_of
 from .oracle import (CapExceeded, EdgeVerdict, RankOracle, SearchStats,
                      SimultaneousCheck, longest_path_length)

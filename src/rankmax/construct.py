@@ -6,12 +6,15 @@ center c with lowest set bit 2^j dominates the open block
 (c - 2^j, c + 2^j); joining c to any non-neighbor inside its block keeps
 the standard ranking valid, and those are exactly the addable edges.
 
+Those blocks are the closure of the standard ranking's elimination forest:
+`closure_edges` joins each component's top-labelled vertex to the rest of
+its component, for any graph and valid ranking.
+
 `family_good_edges` is the source of truth: one constructed set per family.
-`path_good_targets` (the same set listed from the smaller endpoint of each
-edge) and `all_levels_good_edges` (built level by level from the ranking)
-are cross-checks that must agree with it.  `published_readings` is an
-audit: the published procedure read verbatim, which misses addable edges
-(see the CLI's --strict-paper mode).
+`all_levels_good_edges` (the closure of the standard path ranking) is a
+cross-check that must agree with it.  `published_readings` is an audit:
+the published procedure read verbatim, which misses addable edges (see the
+CLI's --strict-paper mode).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, bits, edge, mask_of
+from .graph import Graph, bits, edge
 from .ranking import (FamilySpec, Ranking, build_family, part_ranges,
                       standard_path_ranking, trailing_zeros)
 
@@ -90,30 +93,6 @@ def next_center(m: int, s: int) -> int:
     return m + 1 + sum(flip_bit((m >> i) & 1) * 2 ** i for i in range(1, s + 1))
 
 
-def _block_radius(c: int) -> int:
-    return c & -c
-
-
-def _centers(limit: int):
-    return range(4, limit + 1, 4)
-
-
-def path_good_targets(m: int, k: int) -> set[int]:
-    """Positions n > m such that joining v_m to v_n is addable to the path
-    on 2^k - 1 vertices without raising its rank number: a cross-check
-    that lists `path_good_edges` from the smaller endpoint of each edge."""
-    peak = 2 ** k - 1
-    if not 1 <= m <= peak:
-        raise ValueError(f"m must be in 1..{peak}")
-    res = set()
-    if m % 4 == 0:
-        res.update(range(m + 2, min(m + _block_radius(m) - 1, peak) + 1))
-    for c in _centers(peak):
-        if c >= m + 2 and c - _block_radius(c) < m:
-            res.add(c)
-    return res
-
-
 def _printed_targets(m: int, k: int, l_min: int) -> dict[int, str]:
     """The three published clauses, applied verbatim; returns n -> clause."""
     peak = 2 ** k - 1
@@ -150,8 +129,8 @@ def path_good_edges(k: int) -> EdgeSet:
         raise ValueError("k >= 3 required")
     peak = 2 ** k - 1
     tagged: dict[tuple[int, int], str] = {}
-    for c in _centers(peak):
-        r = _block_radius(c)
+    for c in range(4, peak + 1, 4):
+        r = c & -c
         for x in range(max(1, c - r + 1), min(peak, c + r - 1) + 1):
             if abs(x - c) >= 2:
                 side = "L" if x < c else "R"
@@ -159,59 +138,37 @@ def path_good_edges(k: int) -> EdgeSet:
     return _make_edge_set(FamilySpec.path(k), tagged)
 
 
-def vertices_labeled_at_least(r: Ranking, j: int) -> int:
-    """Bitmask of the vertices whose label is at least j."""
-    return mask_of(v for v in range(1, len(r.labels) + 1) if r.label(v) >= j)
+def closure_edges(g: Graph, ranking: Ranking, below: int | None = None) -> EdgeSet:
+    """Edges that the closure of the ranking's elimination forest adds to g.
 
-
-def non_neighbor_edges(g: Graph, component: int, v: int) -> EdgeSet:
-    """Edges from v to every non-neighbor of v inside the given component."""
-    if not (component >> v) & 1:
-        raise ValueError(f"vertex {v} is not in the component")
-    others = component & ~(1 << v) & ~g.adjacency[v]
-    tagged = {edge(v, w): f"at:{v}" for w in bits(others)}
+    Each component of the remaining vertices has a unique top-labelled
+    vertex; it is joined to every non-neighbor in the component and then
+    deleted, and the components left are treated alike.  Tops labelled
+    `below` or higher add nothing.  A component without a unique top means
+    the ranking is invalid, and raises ValueError.
+    """
+    if len(ranking.labels) < g.n:
+        raise ValueError("ranking does not label every vertex of the graph")
+    tagged: dict[tuple[int, int], str] = {}
+    comps = g.connected_components()
+    while comps:
+        comp = comps.pop()
+        top = max(bits(comp), key=ranking.label)
+        label = ranking.label(top)
+        if sum(ranking.label(v) == label for v in bits(comp)) > 1:
+            raise ValueError(f"no unique top label in the component of vertex {top}")
+        rest = comp & ~(1 << top)
+        if below is None or label < below:
+            tagged.update((edge(top, w), f"top:{top}")
+                          for w in bits(rest & ~g.adjacency[top]))
+        comps.extend(g.connected_components(rest))
     return _make_edge_set(None, tagged)
 
 
-def level_good_edges(k: int, j: int) -> EdgeSet:
-    """Addable edges of the path at level j: one star of completion edges per
-    component left after removing all vertices labeled >= j, centered on the
-    component's unique vertex labeled j - 1.
-
-    Level k+1 removes nothing and yields the star of the global top vertex.
-    """
-    if k < 3:
-        raise ValueError("k >= 3 required")
-    if not 4 <= j <= k + 1:
-        raise ValueError(f"j must be in 4..{k + 1}")
-    g = build_family(FamilySpec.path(k))
-    r = standard_path_ranking(k)
-    high = vertices_labeled_at_least(r, j)
-    tagged: dict[tuple[int, int], str] = {}
-    for comp in g.connected_components(g.members & ~high):
-        tops = [v for v in bits(comp) if r.label(v) == j - 1]
-        if len(tops) != 1:
-            raise AssertionError(f"component lacks a unique top at level {j}")
-        v = tops[0]
-        for e in non_neighbor_edges(g, comp, v):
-            tagged[e] = f"level{j}:v{v}"
-    return _make_edge_set(FamilySpec.path(k), tagged)
-
-
-def _levels_union(k: int, last: int) -> EdgeSet:
-    if k < 3:
-        raise ValueError("k >= 3 required")
-    tagged: dict[tuple[int, int], str] = {}
-    for j in range(4, last + 1):
-        level = level_good_edges(k, j)
-        tagged.update(zip(level.edges, level.tags))  # levels are disjoint
-    return _make_edge_set(FamilySpec.path(k), tagged)
-
-
 def all_levels_good_edges(k: int) -> EdgeSet:
-    """Union of the level constructions for j = 4..k+1: a cross-check that
-    builds `path_good_edges` from the standard ranking."""
-    return _levels_union(k, k + 1)
+    """The closure of the standard path ranking: a cross-check that builds
+    `path_good_edges` from the ranking."""
+    return closure_edges(build_family(FamilySpec.path(k)), standard_path_ranking(k))
 
 
 def _with_hub_chords(path_part: EdgeSet, k: int) -> EdgeSet:
@@ -300,12 +257,15 @@ def published_readings(spec: FamilySpec) -> dict[str, EdgeSet]:
     edge, the interior-run clause for every run index l >= 0; "literal"
     restricts that clause to l > 0 as printed; for a cycle both also get
     the hub chords.  "level_union" is the path's level union stopped at
-    level k.  Each misses addable edges of `family_good_edges`.
+    level k: the closure of the standard path ranking without the stars
+    of tops labelled k or more.  Each misses addable edges of
+    `family_good_edges`.
     """
     if spec.kind not in ("path", "cycle"):
         raise ValueError("the published procedure covers paths and cycles")
     k = spec.k
-    readings = {"level_union": _levels_union(k, k)}
+    readings = {"level_union": closure_edges(
+        build_family(FamilySpec.path(k)), standard_path_ranking(k), below=k)}
     for name, l_min in (("printed", 0), ("literal", 1)):
         tagged = {edge(m, n): f"clause:{clause}"
                   for m in range(1, 2 ** k)

@@ -46,6 +46,18 @@ def random_graph(rng: Random, n: int, p: float) -> Graph:
     return Graph(n, es)
 
 
+def ancestor_pairs(parent: dict[int, int | None]) -> set[tuple[int, int]]:
+    """Edges of the closure of a rooted forest, given as each vertex's parent
+    (None at a root): every vertex joined to each of its ancestors."""
+    pairs = set()
+    for v in parent:
+        u = parent[v]
+        while u is not None:
+            pairs.add((min(u, v), max(u, v)))
+            u = parent[u]
+    return pairs
+
+
 def all_graphs(n: int):
     """Every labeled simple graph on vertices 1..n."""
     pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]

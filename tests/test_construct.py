@@ -1,15 +1,17 @@
+from random import Random
+
 import pytest
 
-from rankmax import (FamilySpec, all_levels_good_edges, build_family, bits,
-                     cycle_good_edges, flip_bit, joined_good_edges,
-                     level_good_edges, mask_of, mu_cycle, mu_joined,
-                     mu_multipartite, mu_path, mu_path_recurrence,
-                     multipartite_forbidden_edges, multipartite_good_edges,
-                     next_center, non_neighbor_edges, path_good_edges,
-                     path_good_targets, standard_path_ranking,
-                     vertices_labeled_at_least)
+from rankmax import (FamilySpec, Ranking, all_levels_good_edges, build_family,
+                     bits, closure_edges, cycle_good_edges, family_good_edges,
+                     family_ranking, flip_bit, is_valid_ranking,
+                     joined_cliques_ranking, joined_good_edges, mask_of,
+                     mu_cycle, mu_joined, mu_multipartite, mu_path,
+                     mu_path_recurrence, multipartite_forbidden_edges,
+                     multipartite_good_edges, next_center, path_good_edges,
+                     standard_path_ranking)
 from rankmax.construct import published_readings
-from helpers import path_graph
+from helpers import ancestor_pairs, path_graph, random_graph
 
 # Derived by hand from the center-block characterization: a center c
 # (position divisible by 4) accepts every partner at distance >= 2 within
@@ -19,6 +21,19 @@ HP4 = ((1, 4), (1, 8), (2, 4), (2, 8), (3, 8), (4, 6), (4, 7), (4, 8),
        (5, 8), (6, 8), (8, 10), (8, 11), (8, 12), (8, 13), (8, 14), (8, 15),
        (9, 12), (10, 12), (12, 14), (12, 15))
 HC3 = HP3 + ((2, 8), (3, 8), (4, 8), (5, 8), (6, 8))
+
+
+def targets(es, m: int) -> set[int]:
+    """Partners n > m of v_m in an edge set, read from the smaller endpoint."""
+    return {n for a, n in es if a == m}
+
+
+def path_stars(k: int, label: int) -> list[tuple[int, int]]:
+    """Closure edges of the standard path ranking whose top (the endpoint
+    with the larger label) is labelled `label`."""
+    r = standard_path_ranking(k)
+    return [e for e in closure_edges(build_family(FamilySpec.path(k)), r)
+            if r.label(max(e, key=r.label)) == label]
 
 
 class TestFlipBit:
@@ -66,30 +81,27 @@ class TestPathGoodTargets:
         (7, 4, set()),
     ])
     def test_corrected_targets(self, m, k, expected):
-        assert path_good_targets(m, k) == expected
+        assert targets(path_good_edges(k), m) == expected
 
     def test_printed_clauses_miss_left_block_edges(self):
         # v_10 sits inside the block of center 12 but no printed clause
         # produces the pair from the smaller endpoint.
         printed = published_readings(FamilySpec.path(4))["printed"]
         assert not [e for e in printed if e[0] == 10]
-        assert path_good_targets(10, 4) == {12}
+        assert (10, 12) in path_good_edges(4)
 
     def test_literal_clause_two_needs_positive_run_index(self):
         readings = published_readings(FamilySpec.path(3))
         assert not [e for e in readings["literal"] if e[0] == 4]
         assert [e for e in readings["printed"] if e[0] == 4] == [(4, 6), (4, 7)]
 
-    def test_out_of_range_m(self):
-        with pytest.raises(ValueError):
-            path_good_targets(8, 3)
-
     def test_union_of_targets_matches_edge_set(self):
+        # the closure of the standard ranking gives every vertex the same
+        # partners as the center blocks
         for k in (3, 4, 5):
-            from_targets = {(m, n)
-                            for m in range(1, 2 ** k)
-                            for n in path_good_targets(m, k)}
-            assert from_targets == path_good_edges(k).edge_set()
+            closure = all_levels_good_edges(k)
+            for m in range(1, 2 ** k):
+                assert targets(closure, m) == targets(path_good_edges(k), m)
 
 
 class TestPathGoodEdges:
@@ -123,66 +135,73 @@ class TestPathGoodEdges:
 
 
 class TestLabelSets:
+    """Which vertices of P_15 top a closure star, by the `below` cut-off."""
+
     def test_top_of_fifteen(self):
-        r = standard_path_ranking(4)
-        assert list(bits(vertices_labeled_at_least(r, 4))) == [8]
+        g, r = path_graph(15), standard_path_ranking(4)
+        full = closure_edges(g, r).edge_set()
+        below_top = closure_edges(g, r, below=4).edge_set()
+        assert below_top <= full
+        assert {max(e, key=r.label) for e in full - below_top} == {8}
 
     def test_level_one_is_everything(self):
-        r = standard_path_ranking(4)
-        assert list(bits(vertices_labeled_at_least(r, 1))) == list(range(1, 16))
+        # every vertex is labelled 1 or more, so no top adds a star
+        assert len(closure_edges(path_graph(15), standard_path_ranking(4),
+                                 below=1)) == 0
 
     def test_level_three(self):
         r = standard_path_ranking(4)
-        assert list(bits(vertices_labeled_at_least(r, 3))) == [4, 8, 12]
+        closure = closure_edges(path_graph(15), r)
+        assert {max(e, key=r.label) for e in closure} == {4, 8, 12}
+        assert len(closure_edges(path_graph(15), r, below=3)) == 0
 
 
 class TestNonNeighborEdges:
+    """Star sizes of the closure of the standard ranking on P_3, P_7, P_15."""
+
     def test_center_of_fifteen(self):
-        g = path_graph(15)
-        es = non_neighbor_edges(g, g.members, 8)
-        assert len(es) == 15 - 3
+        es = closure_edges(path_graph(15), standard_path_ranking(4))
+        assert sum(1 for e in es if 8 in e) == 15 - 3
 
     def test_center_of_seven(self):
-        g = path_graph(7)
-        assert len(non_neighbor_edges(g, g.members, 4)) == 4
+        es = closure_edges(path_graph(7), standard_path_ranking(3))
+        assert es.edges == HP3
+        assert all(4 in e for e in es)
 
     def test_tiny_path_has_none(self):
-        g = path_graph(3)
-        assert len(non_neighbor_edges(g, g.members, 2)) == 0
-
-    def test_vertex_outside_component(self):
-        g = path_graph(7)
-        with pytest.raises(ValueError):
-            non_neighbor_edges(g, mask_of({1, 2, 3}), 5)
+        assert len(closure_edges(path_graph(3), standard_path_ranking(2))) == 0
 
 
 class TestLevelGoodEdges:
+    """The closure of the standard path ranking, one label of its tops at a
+    time: level j holds the stars of the tops labelled j - 1."""
+
     def test_top_level_of_fifteen(self):
-        es = level_good_edges(4, 5)
+        es = path_stars(4, 4)
         assert len(es) == 12
         assert all(8 in e for e in es)
 
     def test_level_four_of_fifteen(self):
-        es = level_good_edges(4, 4)
+        es = path_stars(4, 3)
         assert len(es) == 8
         assert sum(1 for e in es if 4 in e) == 4
         assert sum(1 for e in es if 12 in e) == 4
 
     def test_level_four_of_thirty_one(self):
-        assert len(level_good_edges(5, 4)) == 16
+        assert len(path_stars(5, 3)) == 16
 
-    # the level construction walks the actual graph, so sizes stay small
     @pytest.mark.parametrize("k", range(3, 7))
     def test_sizes_and_disjointness(self, k):
         seen = set()
         total = 0
         for j in range(4, k + 2):
-            es = level_good_edges(k, j)
+            es = set(path_stars(k, j - 1))
             assert len(es) == 2 ** (k - j + 1) * (2 ** (j - 1) - 4)
-            assert not seen & es.edge_set()
-            seen |= es.edge_set()
+            assert not seen & es
+            seen |= es
             total += len(es)
         assert total == mu_path(k)
+        assert seen == all_levels_good_edges(k).edge_set()
 
     @pytest.mark.parametrize("k", range(3, 7))
     def test_union_equals_block_construction(self, k):
@@ -196,7 +215,7 @@ class TestLevelGoodEdges:
         g = build_family(FamilySpec.path(k))
         r = standard_path_ranking(k)
         for j in range(4, k + 1):
-            rest = g.members & ~vertices_labeled_at_least(r, j)
+            rest = g.members & ~mask_of(v for v in g.vertices() if r.label(v) >= j)
             comps = g.connected_components(rest)
             assert len(comps) == 2 ** (k - j + 1)
             for comp in comps:
@@ -205,12 +224,6 @@ class TestLevelGoodEdges:
                 assert vs == list(range(vs[0], vs[0] + len(vs)))  # contiguous run
                 inside = [e for e in g.edges if (comp >> e[0]) & 1 and (comp >> e[1]) & 1]
                 assert len(inside) == len(vs) - 1
-
-    def test_rejects_j_out_of_range(self):
-        with pytest.raises(ValueError):
-            level_good_edges(4, 3)
-        with pytest.raises(ValueError):
-            level_good_edges(4, 6)
 
 
 class TestCounts:
@@ -299,6 +312,79 @@ class TestJoinedGoodEdges:
         es = joined_good_edges(5)
         tag = dict(zip(es.edges, es.tags))[(5, 10)]
         assert tag == "top-w,top-v"
+
+
+def elimination_ranking(rng: Random, g) -> Ranking:
+    """A valid ranking built by random elimination: each component's top is
+    a random vertex, labelled one more than anything left below it."""
+    labels = {}
+
+    def eliminate(comp: int) -> int:
+        top = rng.choice(list(bits(comp)))
+        labels[top] = 1 + max((eliminate(c) for c in
+                               g.connected_components(comp & ~(1 << top))),
+                              default=0)
+        return labels[top]
+
+    for comp in g.connected_components():
+        eliminate(comp)
+    return Ranking(tuple(labels[v] for v in g.vertices()))
+
+
+class TestClosureEdges:
+    @pytest.mark.parametrize("spec", [FamilySpec.path(k) for k in range(3, 8)]
+                             + [FamilySpec.cycle(k) for k in range(3, 7)]
+                             + [FamilySpec.multipartite(*p) for p in (
+                                 (3, 2), (2, 2), (4, 3, 2), (5, 5, 5, 5),
+                                 (6, 5, 4, 3, 2), (2,) * 10)],
+                             ids=FamilySpec.describe)
+    def test_family_ranking_closure_is_the_construction(self, spec):
+        closure = closure_edges(build_family(spec), family_ranking(spec))
+        assert closure.edges == family_good_edges(spec).edges
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_joined_ranking_closure_is_the_top_star(self, n):
+        # joined_cliques_ranking is not tight: once v_top = 2n is deleted
+        # the two cliques are separate components, both already complete,
+        # so its closure is only the star of v_top
+        g = build_family(FamilySpec.joined(n))
+        closure = closure_edges(g, joined_cliques_ranking(n))
+        assert closure.edges == tuple((i, 2 * n) for i in range(2, n + 1))
+        assert closure.edge_set() <= joined_good_edges(n).edge_set()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_joined_chain_forest_closure_is_the_construction(self, n):
+        # the chain v_top -> w = n, with both remaining cliques (each a
+        # chain of its own) below w
+        v_top, w = 2 * n, n
+        parent = {v_top: None, w: v_top}
+        for clique in (range(1, n), range(n + 1, 2 * n)):
+            above = w
+            for v in clique:
+                parent[v], above = above, v
+        pairs = ancestor_pairs(parent)
+        g = build_family(FamilySpec.joined(n))
+        assert set(g.edges) <= pairs
+        assert pairs - set(g.edges) == joined_good_edges(n).edge_set()
+
+    def test_random_graphs_keep_their_ranking(self):
+        rng = Random(11)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            r = elimination_ranking(rng, g)
+            closure = closure_edges(g, r)
+            assert not closure.edge_set() & set(g.edges)
+            assert is_valid_ranking(g.add_edges(closure), r)
+            below = rng.randint(1, r.max_label + 1)
+            assert closure_edges(g, r, below=below).edge_set() <= closure.edge_set()
+            with pytest.raises(ValueError):
+                closure_edges(g, Ranking(r.labels[:-1]))
+            if g.edges:
+                u, v = rng.choice(g.edges)
+                labels = list(r.labels)
+                labels[v - 1] = labels[u - 1]
+                with pytest.raises(ValueError):
+                    closure_edges(g, Ranking(tuple(labels)))
 
 
 class TestEdgeSetInvariants:
