@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .construct import (all_levels_good_edges, family_good_edges, mu_value,
@@ -69,14 +70,30 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _cannot_write(out_path: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {out_path}: {exc.strerror or exc}")
+
+
+def _check_out(out_path: str) -> None:
+    """Refuse an unwritable `--out` before any work, with the error the
+    final write would give: open it for appending, which keeps what it
+    holds, and remove it again if the open created it."""
+    existed = os.path.lexists(out_path)
+    try:
+        open(out_path, "a").close()
+    except OSError as exc:
+        raise _cannot_write(out_path, exc) from exc
+    if not existed:
+        os.remove(out_path)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
             with open(out_path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: "
-                             f"{exc.strerror or exc}") from exc
+            raise _cannot_write(out_path, exc) from exc
     else:
         sys.stdout.write(text)
 
@@ -325,7 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a claim suite against the oracle")
     p.add_argument("--suite", choices=list(SUITES), default="paper-all")
-    p.add_argument("--max-k", type=int, default=4)
+    p.add_argument("--max-k", type=int, default=4,
+                   help="largest k for the path, cycle and uniqueness "
+                        "suites (default 4; paper-all stops its uniqueness "
+                        "claims at 4); the multipartite and joined suites "
+                        "run fixed ranges")
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -342,6 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,17 +7,18 @@ runs that recursion over connected-subset bitmasks with memoization,
 pruned by a certified lower bound (a path exhibited inside the component)
 and by twins (one refuted vertex refutes every vertex with the same
 neighbourhood), and skipped entirely when the label budget covers every
-vertex.  Classifying every non-edge searches one non-edge per twin orbit:
-swapping two twins of the host is an automorphism, so it carries an added
-edge to an equivalent one.  A graph with added edges (one candidate edge,
-or a whole edge set checked for simultaneous addition) is searched on an
-overlay of the host's engine, which shares the host's work on every
-component that contains no added edge; an oracle keeps only the engine of
-the host it was last given.  A component that does contain added edges is
-bounded by the host's memo from both sides, since rank numbers are monotone
-under subgraphs: the host's subgraph on it needing more than the budget
-refutes it, and the host's fitting in the budget less one label per shared
-endpoint but one accepts it.
+vertex.  Classifying every non-edge searches one non-edge per orbit of the
+host's automorphisms (found on its twin quotient, see `_orbits`), since an
+automorphism carries an added edge to an equivalent one.  A graph with
+added edges (one candidate edge, or a whole edge set checked for
+simultaneous addition) is searched on an overlay of the host's engine,
+which shares the host's work on every component that contains no added
+edge; an oracle keeps only the engine of the host it was last given.  A
+component that does contain added edges is bounded by the host's memo from
+both sides, since rank numbers are monotone under subgraphs: the host's
+subgraph on it needing more than the budget refutes it, and the host's
+fitting in the budget less one label per shared endpoint but one accepts
+it.
 
 Everything here is exact: order caps trigger explicit refusal, never
 silent approximation.
@@ -121,23 +122,6 @@ def longest_path_length(g: Graph) -> int:
             length += 1
         best = max(best, length)
     return best
-
-
-def _twin_representatives(adj: tuple[int, ...]) -> list[int]:
-    """The smallest twin of each vertex (itself if it has none), indexed by
-    vertex.  False twins share an open neighbourhood and true twins a closed
-    one; no vertex has twins of both kinds, since a false twin of v would be
-    adjacent to a true twin of v and so to v."""
-    rep = list(range(len(adj)))
-    first: dict[int, int] = {}  # open or closed neighbourhood -> first vertex
-    for v in range(1, len(adj)):
-        for nbhd in (adj[v], adj[v] | 1 << v):
-            if nbhd in first:
-                rep[v] = first[nbhd]
-                break
-        else:
-            first[adj[v]] = first[adj[v] | 1 << v] = v
-    return rep
 
 
 class _Engine:
@@ -375,18 +359,29 @@ class RankOracle:
         """Classify every non-edge; returns the good ones plus all verdicts,
         in `g.non_edges()` order.
 
-        One non-edge per pair of twin classes is searched, and the others
-        copy its verdict.  Swapping two twins fixes the host and maps xw to
-        x'w, so G + xw and G + x'w are isomorphic; adjacency between two
-        classes is uniform, and the pairs inside one class, or across two,
-        form one orbit under such swaps.
+        One non-edge per orbit is searched, and the others copy its
+        verdict: an automorphism of the host that maps xy to x'y' makes
+        G + xy and G + x'y' isomorphic.  The orbits are those of the group
+        generated by swaps of twins and by the lifts of the automorphisms
+        of the twin quotient (one vertex per twin class, coloured by class
+        size and twin kind).  A colour-preserving automorphism of the
+        quotient lifts to the host, because two classes of one colour are
+        interchangeable inside themselves and the edges between classes
+        are uniform; so every orbit found is inside an orbit of Aut(G),
+        and a generator the bounded search misses only splits an orbit,
+        costing one more search.
         """
+        # Imported here, on first use: only classification needs the orbit
+        # finder, so rank searches and certificates never compile it.
+        from ._orbits import non_edge_orbits
+
         base, _ = self.rank_number(g)
-        rep = _twin_representatives(g.adjacency)
+        cls, orbit = non_edge_orbits(g.adjacency)
         searched: dict[tuple[int, int], EdgeVerdict] = {}
         verdicts = []
         for u, v in g.non_edges():
-            key = (min(rep[u], rep[v]), max(rep[u], rep[v]))
+            a, b = cls[u], cls[v]
+            key = orbit[(a, b) if a <= b else (b, a)]
             hit = searched.get(key)
             if hit is None:
                 hit = searched[key] = self.classify_edge(g, (u, v), base)

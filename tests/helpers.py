@@ -40,6 +40,33 @@ def star_graph(n: int) -> Graph:
     return Graph(n, [(1, v) for v in range(2, n + 1)])
 
 
+def circulant_graph(n: int, steps) -> Graph:
+    """Vertex i joined to i +- s (mod n) for every s in `steps`."""
+    return Graph(n, [(i + 1, (i + s) % n + 1) for i in range(n) for s in steps])
+
+
+def petersen_graph() -> Graph:
+    """Outer 5-cycle 1..5, spokes i -- i + 5, inner pentagram on 6..10."""
+    return Graph(10, [(i, i % 5 + 1) for i in range(1, 6)]
+                 + [(i, i + 5) for i in range(1, 6)]
+                 + [(6 + i, 6 + (i + 2) % 5) for i in range(5)])
+
+
+def cube_graph(d: int) -> Graph:
+    """The d-dimensional hypercube on 2^d vertices."""
+    return Graph(2 ** d, [(a + 1, (a | 1 << b) + 1) for a in range(2 ** d)
+                          for b in range(d) if not a >> b & 1])
+
+
+def mirrored_graph(rng: Random, half: int, p: float) -> Graph:
+    """A random graph on 1..half, its mirror copy on half+1..2*half, and
+    every vertex joined to its mirror image: swapping each vertex with its
+    image is an automorphism."""
+    h = random_graph(rng, half, p)
+    return Graph(2 * half, [*h.edges, *((u + half, v + half) for u, v in h.edges),
+                            *((v, v + half) for v in range(1, half + 1))])
+
+
 def random_graph(rng: Random, n: int, p: float) -> Graph:
     es = [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)
           if rng.random() < p]

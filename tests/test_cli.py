@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmax import RankOracle
 from rankmax.cli import main
 from helpers import rankmax_env
 
@@ -240,6 +241,38 @@ class TestVerify:
                       "--cap", "40")
         assert res.returncode == 0
         assert "8/8 claims hold" in res.stdout
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("searched before checking --out")
+
+
+class TestOutCheckedFirst:
+    """An unwritable --out is refused before any search starts."""
+
+    @staticmethod
+    def assert_refused(capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+        assert captured.out == ""
+
+    def test_verify(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr("rankmax.cli.run_suite", must_not_run)
+        self.assert_refused(capsys, ["verify", "--out",
+                                     str(tmp_path / "missing" / "x")])
+
+    def test_rank(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(RankOracle, "rank_number", must_not_run)
+        self.assert_refused(capsys, ["rank", "path", "-k", "3", "--out",
+                                     str(tmp_path / "missing" / "x")])
+
+    def test_the_check_leaves_no_file_behind(self, tmp_path):
+        # A command refused after the check must not leave an empty file.
+        out = tmp_path / "x"
+        assert main(["generate", "path", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestExport:

@@ -9,12 +9,14 @@ from rankmax import (CapExceeded, FamilySpec, Graph, RankOracle, Ranking,
                      family_ranking, is_valid_ranking, longest_path_length,
                      path_good_edges, standard_cycle_ranking,
                      standard_path_ranking)
+from rankmax import _orbits
 from rankmax.oracle import _Engine
 from rankmax.verify import run_uniqueness_suite
-from helpers import (all_graphs, blow_up, brute_rank, complete_graph,
-                     cycle_graph, greedy_path_all_starts, path_graph,
-                     random_graph, reference_rank, star_graph,
-                     valid_by_path_definition)
+from helpers import (all_graphs, blow_up, brute_rank, circulant_graph,
+                     complete_graph, cube_graph, cycle_graph,
+                     greedy_path_all_starts, mirrored_graph, path_graph,
+                     petersen_graph, random_graph, reference_rank,
+                     star_graph, valid_by_path_definition)
 
 HP3 = {(1, 4), (2, 4), (4, 6), (4, 7)}
 
@@ -220,46 +222,92 @@ class TestGoodEdgeSet:
         assert good.edge_set() == {(1, 2), (3, 4)}
 
 
+def overlay_searches(g):
+    """The verdicts of `good_edge_set` on g and the overlays it searched."""
+    calls = []
+    with_edges = _Engine.with_edges
+
+    def counted(self, pairs):
+        calls.append(pairs)
+        return with_edges(self, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "with_edges", counted)
+        _, verdicts = RankOracle().good_edge_set(g)
+    return verdicts, len(calls)
+
+
+def per_edge_verdicts(g):
+    oracle = RankOracle()
+    base = oracle.rank_number(g)[0]
+    return [oracle.classify_edge(g, e, base) for e in g.non_edges()]
+
+
 class TestTwinOrbits:
-    """good_edge_set searches one non-edge per pair of twin classes and
-    copies its verdict to the rest of the orbit; every verdict must equal a
-    search of its own edge."""
+    """good_edge_set searches one non-edge per orbit of the automorphisms
+    it finds (twin swaps and lifts of the twin quotient's automorphisms)
+    and copies its verdict to the rest of the orbit; every verdict must
+    equal a search of its own edge."""
 
     HOSTS = ([build_family(FamilySpec.multipartite(*p))
               for n in range(2, 8) for p in partitions(n, n) if len(p) >= 2]
              + [build_family(FamilySpec.joined(n)) for n in range(2, 6)]
              + BLOW_UPS
-             # no twins, so every non-edge is searched
+             # no twins
              + [path_graph(7), cycle_graph(8),
                 Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 5)])]
              + [g for g in (random_graph(Random(s), 8, 0.4) for s in range(950, 960))
-                if is_twin_free(g)][:3])
+                if is_twin_free(g)][:3]
+             # symmetric hosts whose orbits come from the quotient's group
+             + [path_graph(15), cycle_graph(16), petersen_graph(), cube_graph(3),
+                circulant_graph(10, (1, 3)),
+                build_family(FamilySpec.multipartite(2, 2, 2, 2)),
+                build_family(FamilySpec.joined(6))]
+             + [mirrored_graph(Random(s), half, 0.4)
+                for s, half in ((1, 4), (2, 5), (3, 6))])
 
     @pytest.mark.parametrize("g", HOSTS, ids=[f"host{i}" for i in range(len(HOSTS))])
     def test_verdicts_equal_per_edge_searches(self, g):
         good, verdicts = RankOracle().good_edge_set(g)
-        per_edge = RankOracle()
-        base = per_edge.rank_number(g)[0]
-        assert verdicts == [per_edge.classify_edge(g, e, base) for e in g.non_edges()]
+        assert verdicts == per_edge_verdicts(g)
         assert good.edges == tuple(v.edge for v in verdicts if v.is_good)
 
     @pytest.mark.parametrize("g,overlays", [
-        (build_family(FamilySpec.joined(6)), 3),
+        (build_family(FamilySpec.joined(6)), 2),
         (build_family(FamilySpec.multipartite(4, 3, 2)), 3),
-        (cycle_graph(8), 20),
-    ], ids=["joined6", "K432", "C8"])
-    def test_one_overlay_search_per_orbit(self, monkeypatch, g, overlays):
-        calls = []
-        with_edges = _Engine.with_edges
-
-        def counted(self, pairs):
-            calls.append(pairs)
-            return with_edges(self, pairs)
-
-        monkeypatch.setattr(_Engine, "with_edges", counted)
-        _, verdicts = RankOracle().good_edge_set(g)
-        assert len(calls) == overlays
+        (cycle_graph(8), 3),
+        (path_graph(15), 49),
+        (cycle_graph(16), 7),
+    ], ids=["joined6", "K432", "C8", "P15", "C16"])
+    def test_one_overlay_search_per_orbit(self, g, overlays):
+        verdicts, searched = overlay_searches(g)
+        assert searched == overlays
         assert len(verdicts) == len(g.non_edges())
+
+    def test_a_map_that_is_not_an_automorphism_is_rejected(self, monkeypatch):
+        # Every leaf of the search is offered as a shift of the path, which
+        # would merge non-edges with different verdicts; the check refuses
+        # each one, so no orbit merges and every non-edge is searched.
+        g = path_graph(15)
+        shift = [(i + 1) % g.n for i in range(g.n)]
+        assert not _orbits.is_automorphism(
+            [0] * g.n, [(1, False)] * g.n, [0] * g.n)  # not a permutation
+        monkeypatch.setattr(_orbits, "_leaf_map", lambda first, leaf: shift)
+        verdicts, searched = overlay_searches(g)
+        assert searched == len(g.non_edges())
+        assert verdicts == per_edge_verdicts(g)
+
+    @pytest.mark.parametrize("g", [
+        path_graph(15), cycle_graph(16), petersen_graph(),
+        build_family(FamilySpec.multipartite(2, 2, 2, 2)),
+        build_family(FamilySpec.joined(6)),
+    ], ids=["P15", "C16", "petersen", "K2222", "joined6"])
+    def test_an_exhausted_step_budget_only_costs_searches(self, monkeypatch, g):
+        verdicts, searched = overlay_searches(g)
+        monkeypatch.setattr(_orbits, "_STEPS", 0)
+        starved, starved_searches = overlay_searches(g)
+        assert starved == verdicts
+        assert starved_searches >= searched
 
 
 class TestEnumerateOptimalRankings:
