@@ -7,9 +7,12 @@ runs that recursion over connected-subset bitmasks with memoization,
 pruned by a certified lower bound (a path exhibited inside the component)
 and by twins (one refuted vertex refutes every vertex with the same
 neighbourhood), and skipped entirely when the label budget covers every
-vertex.  Classifying every non-edge searches one non-edge per orbit of the
-host's automorphisms (found on its twin quotient, see `_orbits`), since an
-automorphism carries an added edge to an equivalent one.  A graph with
+vertex.  A rank is searched downward from the order, after one try at the
+lower bound, so each component costs one refuting search, at its rank
+less one, and not one per budget between the two.  Classifying every
+non-edge searches one non-edge per orbit of the host's automorphisms
+(found on its twin quotient, see `_orbits`), since an automorphism carries
+an added edge to an equivalent one.  A graph with
 added edges (one candidate edge, or a whole edge set checked for
 simultaneous addition) is searched on an overlay of the host's engine,
 which shares the host's work on every component that contains no added
@@ -224,8 +227,8 @@ class _Engine:
             shared = comp & self.ends
             if shared & (shared - 1) == 0:
                 return host.feasible_connected(comp, budget)
-        elif self.lower_bound(comp) > budget:
-            return False
+        elif budget < size.bit_length() and self.lower_bound(comp) > budget:
+            return False  # the bound is at most size.bit_length()
         key = (comp, budget)
         hit = self.memo.get(key)
         if hit is not None:
@@ -264,13 +267,21 @@ class _Engine:
         return False
 
     def rank(self, mask: int) -> int:
-        if mask == 0:
-            return 0
+        """Rank number of the subgraph induced by `mask`.
+
+        Each component is searched at its path lower bound first, which
+        settles it when the bound is tight.  Otherwise its rank is searched
+        downward from its order: a search at a budget of at least the rank
+        stops at the first split that works, so the component costs one
+        refuting search, at rank - 1, and not one per budget below it."""
         best = 0
         for comp in components_masks(self.adj, mask):
-            k = self.lower_bound(comp)
-            while not self.feasible_connected(comp, k):
-                k += 1
+            lb = self.lower_bound(comp)
+            k = lb
+            if not self.feasible_connected(comp, lb):
+                k = comp.bit_count()
+                while k - 1 > lb and self.feasible_connected(comp, k - 1):
+                    k -= 1
             best = max(best, k)
         return best
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmax import (CapExceeded, FamilySpec, Graph, RankOracle, Ranking,
-                     build_family, cycle_good_edges, family_good_edges,
-                     family_ranking, is_valid_ranking, longest_path_length,
-                     path_good_edges, standard_cycle_ranking,
-                     standard_path_ranking)
+                     build_family, components_masks, cycle_good_edges,
+                     family_good_edges, family_ranking, is_valid_ranking,
+                     longest_path_length, path_good_edges,
+                     standard_cycle_ranking, standard_path_ranking)
 from rankmax import _orbits
 from rankmax.oracle import _Engine
 from rankmax.verify import run_uniqueness_suite
@@ -26,6 +26,16 @@ def induced(g, keep):
     new = {v: i for i, v in enumerate(sorted(keep), 1)}
     return Graph(len(new), [(new[u], new[v]) for u, v in g.edges
                             if u in new and v in new])
+
+
+def disjoint_union(*graphs):
+    """The graphs side by side, the second renumbered after the first, and
+    so on."""
+    edges, offset = [], 0
+    for h in graphs:
+        edges += [(u + offset, v + offset) for u, v in h.edges]
+        offset += h.n
+    return Graph(offset, edges)
 
 
 def by_is_valid_ranking(g, labels):
@@ -112,6 +122,24 @@ class TestBruteForceAgreement:
     def test_random_six_vertex_graphs(self, oracle, seed):
         g = random_graph(Random(100 + seed), 6, 0.4)
         assert oracle.rank_number(g)[0] == brute_rank(g, by_is_valid_ranking)
+
+    # Dense graphs, whose path bound is far below the rank, are ranked by a
+    # downward search; the plain recursion knows nothing of its order.
+    @pytest.mark.parametrize("n,p,seed", [(n, p, seed) for n in (8, 9, 10)
+                                          for p in (0.5, 0.7) for seed in range(3)])
+    def test_random_dense_graphs_match_the_reference_recursion(self, oracle, n, p, seed):
+        g = random_graph(Random(900 + 10 * n + seed), n, p)
+        assert oracle.rank_number(g)[0] == reference_rank(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_components_of_different_ranks_take_the_maximum(self, oracle, seed):
+        rng = Random(950 + seed)
+        parts = [random_graph(rng, 8, 0.7), path_graph(7),
+                 random_graph(rng, 4, 0.5)]
+        ranks = [reference_rank(h) for h in parts]
+        assert len(set(ranks)) > 1
+        for order in (parts, parts[::-1]):
+            assert oracle.rank_number(disjoint_union(*order))[0] == max(ranks)
 
 
 class TestTwinRichGraphs:
@@ -656,6 +684,35 @@ class TestSearchHygiene:
         assert oracle.rank_number(smaller)[0] <= oracle.rank_number(g)[0]
 
 
+class TestDownwardRank:
+    """A component's rank is tried at its path lower bound, then searched
+    downward from its order: a search at a budget of at least the rank
+    stops at the first split that works, so only the one at rank - 1 has
+    to refute every split."""
+
+    def test_a_dense_host_needs_one_refuting_search(self):
+        g = build_family(FamilySpec.multipartite(*[3] * 6))
+        value, stats = RankOracle().rank_number(g)
+        assert value == 16
+        assert stats.nodes_expanded < 20_000
+
+    def test_a_tight_path_bound_costs_one_search(self):
+        value, stats = RankOracle().rank_number(path_graph(15))
+        assert value == 4
+        assert stats.nodes_expanded == 23
+
+    # feasible_connected computes the path bound only at budgets below
+    # size.bit_length(); that skips no prune while this holds.
+    @pytest.mark.parametrize("seed", range(5))
+    def test_path_bound_is_at_most_the_order_bound(self, seed):
+        rng = Random(1300 + seed)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(2, 18), rng.choice((0.1, 0.25, 0.5)))
+            eng = _Engine(g.adjacency)
+            for comp in components_masks(g.adjacency, rng.getrandbits(g.n) << 1):
+                assert eng.lower_bound(comp) <= comp.bit_count().bit_length()
+
+
 class TestLongestPath:
     def test_path_and_cycle_are_exact(self):
         assert longest_path_length(path_graph(31)) == 31
@@ -691,6 +748,7 @@ class TestFamilyRanks:
         (FamilySpec.multipartite(5, 5, 5, 5), 16),
         (FamilySpec.multipartite(6, 5, 4, 3, 2), 15),
         (FamilySpec.joined(10), 11),
+        (FamilySpec.multipartite(*[2] * 10), 19),
     ])
     def test_oracle_matches_the_constructed_ranking(self, oracle, spec, expected):
         g = build_family(spec)
