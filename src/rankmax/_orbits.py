@@ -11,100 +11,27 @@ which move a non-edge to any other non-edge between the same two classes,
 these lifts make every non-edge whose class pair lies in one orbit of the
 quotient's group an image of every other under an automorphism of the graph.
 
-Generators of the quotient's group come from a refine-and-individualize
-search (McKay and Piperno, *Practical graph isomorphism, II*, J. Symbolic
-Comput. 2014).  Colour refinement runs on bitmask cells with a splitter
-queue, and its cell order depends on nothing but the structure, so an
-automorphism carries one search branch onto another.  For the vertex v
-individualized at each depth of the first branch, deepest depth first, the
-search tries to map v onto every other vertex of its cell not already in
-its orbit, by descending that branch to a discrete leaf whose shapes match
-the first branch.  Every leaf map is checked edge by edge and colour by
-colour before it becomes a generator, and the search stops after a fixed
-number of refinements.  A generator it misses only splits an orbit, which
-costs one more search by the caller, never a wrong answer.
+Generators of the quotient's group come from a plain backtracking search.
+Each quotient vertex is coloured by its colour and its degree, and the
+vertices are ordered breadth-first.  For each vertex b of that order, last
+first, the search fixes every vertex before b and tries to map b onto each
+vertex of its colour not already in its orbit, extending the map along the
+order: each vertex goes to an unused vertex of its colour whose adjacency
+to every vertex mapped so far matches its own.  Every complete map is
+checked edge by edge and colour by colour before it becomes a generator,
+and the search stops after a fixed number of candidates.  A generator it
+misses only splits an orbit, which costs one more search by the caller,
+never a wrong answer.
 """
 
 from __future__ import annotations
 
 from .graph import bits
 
-# Refinements the generator search may make on one quotient.  Graphs of up
-# to 20 vertices, strongly regular and vertex-transitive ones included, have
-# needed a few dozen.
+# Candidates the generator search may try on one quotient.  The benchmark's
+# hosts have needed at most 31, symmetric and random graphs of up to 20
+# vertices a few dozen to 134.
 _STEPS = 1000
-
-
-def _refine(qadj: list[int], cells: list[int], queue: list[int]) -> None:
-    """Refine the ordered partition `cells`, equitable with respect to every
-    cell but those in `queue`, in place until it is equitable.
-
-    Each cell splits by its vertices' neighbour counts in a splitter, the
-    fragments taking its place in count order.  A cell that splits while
-    queued is replaced in the queue by all its fragments, and otherwise by
-    all but its first largest one, to which the partition stays equitable:
-    a count there is the count in the old cell less those in the others."""
-    m = len(qadj)
-    pending = set(queue)
-    for s in queue:  # the loop also visits splitters appended below
-        if len(cells) == m:
-            return
-        if s not in pending:
-            continue  # split since it was queued; its fragments are queued
-        pending.discard(s)
-        touched = 0
-        x = s
-        while x:
-            b = x & -x
-            x ^= b
-            touched |= qadj[b.bit_length() - 1]
-        i = 0
-        while i < len(cells):
-            c = cells[i]
-            i += 1
-            if c & touched == 0 or c & (c - 1) == 0:
-                continue  # no vertex of c sees s, or c is a single vertex
-            split: dict[int, int] = {}
-            x = c & touched
-            while x:
-                b = x & -x
-                x ^= b
-                k = (qadj[b.bit_length() - 1] & s).bit_count()
-                split[k] = split.get(k, 0) | b
-            if c & ~touched:
-                split[0] = c & ~touched
-            if len(split) == 1:
-                continue
-            frags = [split[k] for k in sorted(split)]
-            cells[i - 1:i] = frags
-            i += len(frags) - 1
-            if c in pending:
-                pending.discard(c)
-            else:
-                frags.remove(max(frags, key=int.bit_count))
-            pending.update(frags)
-            queue.extend(frags)
-
-
-def _individualize(qadj: list[int], cells: list[int], t: int, v: int) -> list[int]:
-    """A refined copy of the equitable `cells` with v split off ahead of the
-    rest of cell t."""
-    out = cells[:t] + [1 << v, cells[t] & ~(1 << v)] + cells[t + 1:]
-    _refine(qadj, out, [1 << v])
-    return out
-
-
-def _shape(cells: list[int]) -> list[int]:
-    return [c.bit_count() for c in cells]
-
-
-def _leaf_map(first: list[int], leaf: list[int]) -> list[int]:
-    """The permutation taking each cell of the first leaf to the same cell of
-    another leaf."""
-    perm = [0] * len(first)
-    for a, b in zip(first, leaf):
-        perm[a] = b
-    return perm
 
 
 def is_automorphism(qadj: list[int], colours: list, perm: list[int]) -> bool:
@@ -127,22 +54,24 @@ def generators(qadj: list[int], colours: list) -> list[list[int]]:
     """Checked automorphisms of the coloured graph; they generate its whole
     group unless the step budget ran out first."""
     m = len(qadj)
-    by_colour: dict = {}
-    for v, c in enumerate(colours):
-        by_colour[c] = by_colour.get(c, 0) | 1 << v
-    cells = [by_colour[c] for c in sorted(by_colour)]
-    _refine(qadj, cells, list(cells))
-    if len(cells) == m:
+    colour = [(c, qadj[v].bit_count()) for v, c in enumerate(colours)]
+    if len(set(colour)) == m:
         return []  # a discrete colouring is fixed by every automorphism
-    path = []  # (partition, target cell, individualized vertex) per depth
-    shapes = []  # cell sizes of the first branch one depth further down
-    while len(cells) < m:
-        t = next(i for i, c in enumerate(cells) if c & (c - 1))
-        v = (cells[t] & -cells[t]).bit_length() - 1
-        path.append((cells, t, v))
-        cells = _individualize(qadj, cells, t, v)
-        shapes.append(_shape(cells))
-    first = [c.bit_length() - 1 for c in cells]
+    cells: dict = {}
+    for v, c in enumerate(colour):
+        cells[c] = cells.get(c, 0) | 1 << v
+    cell = [cells[c] for c in colour]
+    order: list[int] = []  # breadth-first, each component from its least vertex
+    seen = i = 0
+    for s in range(m):
+        if not seen >> s & 1:
+            seen |= 1 << s
+            order.append(s)
+        while i < len(order):
+            fresh = qadj[order[i]] & ~seen
+            seen |= fresh
+            order.extend(bits(fresh))
+            i += 1
     steps = _STEPS
     gens: list[list[int]] = []
     orbit = list(range(m))  # union-find over the group generated so far
@@ -152,40 +81,45 @@ def generators(qadj: list[int], colours: list) -> list[list[int]]:
             orbit[x] = x = orbit[orbit[x]]
         return x
 
-    def branch(cells: list[int], depth: int) -> list[int] | None:
-        """A checked automorphism onto some leaf below `cells`, or None."""
-        nonlocal steps
-        if depth == len(path):
-            perm = _leaf_map(first, [c.bit_length() - 1 for c in cells])
-            return perm if is_automorphism(qadj, colours, perm) else None
-        t = path[depth][1]
-        for x in bits(cells[t]):
-            if steps <= 0:
-                return None
-            steps -= 1
-            child = _individualize(qadj, cells, t, x)
-            if _shape(child) == shapes[depth]:
-                perm = branch(child, depth + 1)
-                if perm is not None:
-                    return perm
-        return None
+    def candidates(k: int, perm: list[int], used: int) -> int:
+        """The unused images of order[k] that keep its colour and its
+        adjacency to order[:k] under perm."""
+        v = order[k]
+        out = cell[v] & ~used
+        for u in order[:k]:
+            out &= qadj[perm[u]] if qadj[v] >> u & 1 else ~qadj[perm[u]]
+        return out
 
-    for depth in reversed(range(len(path))):
-        cells, t, v = path[depth]
-        for w in bits(cells[t]):
-            if find(w) == find(v):
+    def extend(k: int, perm: list[int], used: int) -> bool:
+        """Complete perm, set on order[:k], to a checked automorphism."""
+        nonlocal steps
+        if k == m:
+            return is_automorphism(qadj, colours, perm)
+        for w in bits(candidates(k, perm, used)):
+            if steps <= 0:
+                return False
+            steps -= 1
+            perm[order[k]] = w
+            if extend(k + 1, perm, used | 1 << w):
+                return True
+        return False
+
+    for d in reversed(range(m)):
+        b = order[d]
+        perm = list(range(m))
+        fixed = sum(1 << v for v in order[:d])
+        for w in bits(candidates(d, perm, fixed)):
+            if find(w) == find(b):
                 continue
             if steps <= 0:
                 return gens
             steps -= 1
-            child = _individualize(qadj, cells, t, w)
-            if _shape(child) != shapes[depth]:
-                continue
-            perm = branch(child, depth + 1)
-            if perm is not None:
+            perm[b] = w
+            if extend(d + 1, perm, fixed | 1 << w):
                 gens.append(perm)
                 for x, y in enumerate(perm):
                     orbit[find(x)] = find(y)
+                perm = list(range(m))
     return gens
 
 

@@ -110,7 +110,7 @@ class Graph:
         return 0 < v <= self.n
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 < u <= self.n and (self._adj[u] >> v) & 1 == 1
+        return 0 < u <= self.n and 0 < v <= self.n and (self._adj[u] >> v) & 1 == 1
 
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self._adj[v]))

@@ -92,6 +92,19 @@ def all_graphs(n: int):
         yield Graph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
+def non_edge_orbits_reference(g: Graph) -> list[tuple[int, int]]:
+    """For each non-edge of g, in `g.non_edges()` order, the least non-edge
+    of its orbit under Aut(g), found by trying every vertex permutation."""
+    edges = set(g.edges)
+    autos = []
+    for p in itertools.permutations(range(1, g.n + 1)):
+        image = dict(zip(range(1, g.n + 1), p))
+        if all(tuple(sorted((image[u], image[v]))) in edges for u, v in edges):
+            autos.append(image)
+    return [min(tuple(sorted((a[u], a[v]))) for a in autos)
+            for u, v in g.non_edges()]
+
+
 def bfs_components_reference(g: Graph, subset: set[int]) -> list[set[int]]:
     """Connected components by plain BFS over an adjacency dict."""
     adj = {v: set() for v in subset}

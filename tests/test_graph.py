@@ -54,6 +54,11 @@ class TestConstruction:
             assert g.has_edge(u, v) and g.has_edge(v, u)
             assert v in g.neighbors(u) and u in g.neighbors(v)
 
+    def test_pairs_outside_the_vertices_are_not_edges(self):
+        g = cycle_graph(3)
+        for u, v in [(1, -2), (3, -1), (-1, 3), (0, 1), (1, 0), (1, 4), (4, 1)]:
+            assert not g.has_edge(u, v)
+
 
 class TestComponents:
     def test_path_minus_center_splits_in_two(self):

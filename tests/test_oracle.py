@@ -14,9 +14,10 @@ from rankmax.oracle import _Engine
 from rankmax.verify import run_uniqueness_suite
 from helpers import (all_graphs, blow_up, brute_rank, circulant_graph,
                      complete_graph, cube_graph, cycle_graph,
-                     greedy_path_all_starts, mirrored_graph, path_graph,
-                     petersen_graph, random_graph, reference_rank,
-                     star_graph, valid_by_path_definition)
+                     greedy_path_all_starts, mirrored_graph,
+                     non_edge_orbits_reference, path_graph, petersen_graph,
+                     random_graph, reference_rank, star_graph,
+                     valid_by_path_definition)
 
 HP3 = {(1, 4), (2, 4), (4, 6), (4, 7)}
 
@@ -312,15 +313,38 @@ class TestTwinOrbits:
         assert searched == overlays
         assert len(verdicts) == len(g.non_edges())
 
+    @pytest.mark.parametrize("hosts,overlays", [
+        ([path_graph(7), path_graph(15), cycle_graph(8), cycle_graph(16)], 68),
+        ([build_family(FamilySpec.joined(n)) for n in range(2, 7)]
+         + [build_family(FamilySpec.multipartite(*p))
+            for n in range(2, 10) for p in partitions(n, n) if len(p) >= 2], 122),
+    ], ids=["classify_sparse", "classify_dense"])
+    def test_overlay_searches_of_one_benchmark_pass(self, hosts, overlays):
+        # The hosts of one pass of the benchmark's classify workloads: an
+        # automorphism the generator search misses shows up as a larger count.
+        assert sum(overlay_searches(g)[1] for g in hosts) == overlays
+
+    def test_orbits_equal_the_automorphism_group_orbits(self):
+        graphs = ([g for n in range(2, 6) for g in all_graphs(n)]
+                  + [random_graph(Random(s), 7, 0.5) for s in range(100)])
+        for g in graphs:
+            cls, orbit = _orbits.non_edge_orbits(g.adjacency)
+            keys = [orbit[min(cls[u], cls[v]), max(cls[u], cls[v])]
+                    for u, v in g.non_edges()]
+            # The keys split the non-edges exactly as the orbits of Aut(g) do.
+            pairs = set(zip(keys, non_edge_orbits_reference(g)))
+            assert len(pairs) == len(set(keys)) == len({b for _, b in pairs}), g.edges
+
     def test_a_map_that_is_not_an_automorphism_is_rejected(self, monkeypatch):
-        # Every leaf of the search is offered as a shift of the path, which
-        # would merge non-edges with different verdicts; the check refuses
-        # each one, so no orbit merges and every non-edge is searched.
+        # With the check refusing every map, no generator is kept, no orbit
+        # merges and every non-edge is searched, with the same verdicts.
         g = path_graph(15)
         shift = [(i + 1) % g.n for i in range(g.n)]
+        quotient = [a >> 1 for a in g.adjacency[1:]]  # g on 0..14
+        assert not _orbits.is_automorphism(quotient, [(1, False)] * g.n, shift)
         assert not _orbits.is_automorphism(
             [0] * g.n, [(1, False)] * g.n, [0] * g.n)  # not a permutation
-        monkeypatch.setattr(_orbits, "_leaf_map", lambda first, leaf: shift)
+        monkeypatch.setattr(_orbits, "is_automorphism", lambda *args: False)
         verdicts, searched = overlay_searches(g)
         assert searched == len(g.non_edges())
         assert verdicts == per_edge_verdicts(g)
