@@ -39,18 +39,8 @@ def _spec_from_args(args: argparse.Namespace,
     """The family named by the arguments.  With `construction`, sizes that
     the good-edge constructions do not cover are refused too."""
     try:
-        if args.family in ("path", "cycle"):
-            if args.k is None:
-                raise UsageError(f"{args.family} requires -k")
-            spec = FamilySpec(args.family, k=args.k)
-        elif args.family == "multipartite":
-            if not args.parts:
-                raise UsageError("multipartite requires --parts")
-            spec = FamilySpec.multipartite(*args.parts)
-        elif args.n is None:
-            raise UsageError("joined requires -n")
-        else:
-            spec = FamilySpec.joined(args.n)
+        spec = FamilySpec(args.family, k=args.k, n=args.n,
+                          parts=None if args.parts is None else tuple(args.parts))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if construction:
@@ -181,6 +171,8 @@ def cmd_good_edges(args) -> int:
         args, construction=args.strict_paper or args.mode != "oracle")
     oracle = RankOracle(cap=args.cap)
     if args.strict_paper:
+        if args.json:
+            raise UsageError("--strict-paper prints a text report, not JSON")
         report, match = _strict_paper_report(spec, oracle)
         _emit(report, args.out)
         return 0 if match else 1
@@ -354,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _family_arguments(p)
     p.add_argument("--what", choices=["graph", "good-edges"], default="graph")
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    common(p, cap=False)
+    p.add_argument("--out", metavar="PATH", help="write to a file")
     p.set_defaults(func=cmd_export)
     return parser
 
@@ -366,10 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             _check_out(args.out)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
+    except (UsageError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,8 +7,8 @@ center c with lowest set bit 2^j dominates the open block
 the standard ranking valid, and those are exactly the addable edges.
 
 Those blocks are the closure of the standard ranking's elimination forest:
-`closure_edges` joins each component's top-labelled vertex to the rest of
-its component, for any graph and valid ranking.
+`closure_edges` walks the levels of any valid ranking on any graph and
+joins each level component's top-labelled vertex to the rest of it.
 
 `family_good_edges` is the source of truth: one constructed set per family.
 `all_levels_good_edges` (the closure of the standard path ranking) is a
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import Graph, bits, edge
-from .ranking import (FamilySpec, Ranking, build_family, part_ranges,
-                      standard_path_ranking, trailing_zeros)
+from .ranking import (FamilySpec, Ranking, _level_walk, build_family,
+                      part_ranges, standard_path_ranking, trailing_zeros)
 
 @dataclass(frozen=True)
 class EdgeSet:
@@ -141,27 +141,20 @@ def path_good_edges(k: int) -> EdgeSet:
 def closure_edges(g: Graph, ranking: Ranking, below: int | None = None) -> EdgeSet:
     """Edges that the closure of the ranking's elimination forest adds to g.
 
-    Each component of the remaining vertices has a unique top-labelled
-    vertex; it is joined to every non-neighbor in the component and then
-    deleted, and the components left are treated alike.  Tops labelled
-    `below` or higher add nothing.  A component without a unique top means
-    the ranking is invalid, and raises ValueError.
+    One walk over the ranking's levels: for each label c, each component of
+    the vertices labelled <= c holds a unique vertex labelled c, its top,
+    which is joined to every non-neighbor in the component.  Tops labelled
+    `below` or higher add nothing.  A component with two vertices labelled
+    c means the ranking is invalid, and raises ValueError.
     """
-    if len(ranking.labels) < g.n:
-        raise ValueError("ranking does not label every vertex of the graph")
     tagged: dict[tuple[int, int], str] = {}
-    comps = g.connected_components()
-    while comps:
-        comp = comps.pop()
-        top = max(bits(comp), key=ranking.label)
-        label = ranking.label(top)
-        if sum(ranking.label(v) == label for v in bits(comp)) > 1:
+    for comp, tops in _level_walk(g, ranking):
+        top = tops.bit_length() - 1
+        if tops & (tops - 1):
             raise ValueError(f"no unique top label in the component of vertex {top}")
-        rest = comp & ~(1 << top)
-        if below is None or label < below:
+        if below is None or ranking.label(top) < below:
             tagged.update((edge(top, w), f"top:{top}")
-                          for w in bits(rest & ~g.adjacency[top]))
-        comps.extend(g.connected_components(rest))
+                          for w in bits(comp & ~tops & ~g.adjacency[top]))
     return _make_edge_set(None, tagged)
 
 

@@ -420,9 +420,8 @@ class RankOracle:
         """
         added = [edge(*e) for e in added]
         for u, v in added:
-            if g.has_edge(u, v):
-                raise ValueError(f"({u},{v}) is already an edge of the host graph")
-        union = g.add_edges(added)
+            if g.has_edge(u, v) or not (g.has_vertex(u) and g.has_vertex(v)):
+                raise ValueError(f"({u},{v}) is not a non-edge of the host graph")
         if g.n <= self.cap:
             base, _ = self.rank_number(g)
             overlay = self._engine(g).with_edges(added)
@@ -435,6 +434,7 @@ class RankOracle:
             return SimultaneousCheck(
                 ok=False, mode="certificate",
                 detail="beyond the exact-search cap a witness ranking is required")
+        union = g.add_edges(added)
         if not is_valid_ranking(union, witness):
             return SimultaneousCheck(
                 ok=False, mode="certificate",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph
 
 
 def trailing_zeros(m: int) -> int:
@@ -227,21 +227,32 @@ def family_rank_value(spec: FamilySpec) -> int:
     return spec.n + 1
 
 
-def is_valid_ranking(g: Graph, r: Ranking) -> bool:
-    """Check the ranking property via induced prefix components.
+def _level_walk(g: Graph, r: Ranking):
+    """Walk the levels of a ranking: for each label c, ascending, yield each
+    component of G[labels <= c] that holds a vertex labelled c, with the
+    mask of those vertices.
 
-    For each label value c, the subgraph induced by vertices labeled <= c
-    may contain at most one vertex labeled c per connected component.  This
-    is equivalent to the path formulation but avoids path enumeration.
+    The ranking is valid iff every such mask has one bit.  Then that vertex
+    is the component's top, and the component is the one the ranking's
+    elimination forest deletes it from: its ancestors carry larger labels
+    and cut it off from every other branch.
     """
-    verts = g.vertices()
     if len(r.labels) < g.n:
         raise ValueError("ranking does not label every vertex of the graph")
-    values = sorted({r.label(v) for v in verts})
-    for c in values:
-        level = mask_of(v for v in verts if r.label(v) <= c)
+    at_label: dict[int, int] = {}
+    for v in g.vertices():
+        c = r.label(v)
+        at_label[c] = at_label.get(c, 0) | 1 << v
+    level = 0
+    for c in sorted(at_label):
+        level |= at_label[c]
         for comp in g.connected_components(level):
-            hits = sum(1 for v in bits(comp) if r.label(v) == c)
-            if hits > 1:
-                return False
-    return True
+            if comp & at_label[c]:
+                yield comp, comp & at_label[c]
+
+
+def is_valid_ranking(g: Graph, r: Ranking) -> bool:
+    """Check the ranking property on the level walk: each component of
+    G[labels <= c] holds at most one vertex labelled c.  This is the path
+    formulation without enumerating paths."""
+    return all(tops & (tops - 1) == 0 for _, tops in _level_walk(g, r))

@@ -12,7 +12,7 @@ import os
 from pathlib import Path
 from random import Random
 
-from rankmax import Graph
+from rankmax import EdgeSet, Graph, Ranking, bits, edge
 
 
 def rankmax_env() -> dict[str, str]:
@@ -83,6 +83,31 @@ def ancestor_pairs(parent: dict[int, int | None]) -> set[tuple[int, int]]:
             pairs.add((min(u, v), max(u, v)))
             u = parent[u]
     return pairs
+
+
+def closure_by_peel(g: Graph, ranking: Ranking, below: int | None = None) -> EdgeSet:
+    """The closure of a ranking's elimination forest by peeling: pop a
+    component, check that its top label is unique, join the top to every
+    non-neighbor in the component, delete it and push the components left.
+    One component search per vertex; the reference for `closure_edges`,
+    which raises ValueError exactly where this does."""
+    if len(ranking.labels) < g.n:
+        raise ValueError("ranking does not label every vertex of the graph")
+    tagged: dict[tuple[int, int], str] = {}
+    comps = g.connected_components()
+    while comps:
+        comp = comps.pop()
+        top = max(bits(comp), key=ranking.label)
+        label = ranking.label(top)
+        if sum(ranking.label(v) == label for v in bits(comp)) > 1:
+            raise ValueError(f"no unique top label in the component of vertex {top}")
+        rest = comp & ~(1 << top)
+        if below is None or label < below:
+            tagged.update((edge(top, w), f"top:{top}")
+                          for w in bits(rest & ~g.adjacency[top]))
+        comps.extend(g.connected_components(rest))
+    es = sorted(tagged)
+    return EdgeSet(None, tuple(es), tuple(tagged[e] for e in es))
 
 
 def all_graphs(n: int):

@@ -69,6 +69,20 @@ class TestGenerate:
         assert json.loads(res.stdout)["graph"]["n"] == 127
 
 
+class TestFamilyArguments:
+    @pytest.mark.parametrize("argv", [
+        ["rank", "path", "-k", "3", "-n", "5"],
+        ["good-edges", "path", "-k", "3", "--parts", "2", "2"],
+        ["generate", "joined", "-n", "3", "-k", "2"],
+        ["mu", "multipartite", "--parts", "2", "2", "-k", "3"],
+    ], ids=" ".join)
+    def test_argument_the_family_does_not_take_is_usage_error(self, argv):
+        res = run_cli(*argv)
+        assert_one_line_usage_error(res)
+        assert "takes exactly" in res.stderr
+        assert res.stdout == ""
+
+
 class TestRank:
     def test_joined_five(self):
         res = run_cli("rank", "joined", "-n", "5")
@@ -129,6 +143,11 @@ class TestGoodEdges:
         obj = json.loads(res.stdout)
         assert obj["good"]["edges"] == [[1, 4], [2, 4], [4, 6], [4, 7]]
         assert len(obj["verdicts"]) == 15
+
+    def test_strict_paper_json_is_usage_error(self):
+        res = run_cli("good-edges", "path", "-k", "3", "--strict-paper", "--json")
+        assert_one_line_usage_error(res)
+        assert res.stdout == ""
 
     def test_size_without_construction_is_usage_error(self):
         assert_one_line_usage_error(run_cli("good-edges", "path", "-k", "2"))
@@ -226,6 +245,13 @@ class TestVerify:
         assert res.returncode == 0
         assert "28/28 claims hold" in res.stdout
 
+    def test_path_certificates_up_to_1023_vertices(self):
+        # Beyond the cap the suite cross-checks the closure of the standard
+        # ranking against the construction and certifies each union.
+        res = run_cli("verify", "--suite", "path", "--max-k", "10")
+        assert res.returncode == 0
+        assert "34/34 claims hold" in res.stdout
+
     def test_uniqueness_above_the_enumeration_cap_is_refused(self):
         # k = 5 asks for the optimal rankings of P_31, above the default
         # cap: refused, not reported as holding without being checked.
@@ -300,6 +326,13 @@ class TestExport:
     def test_good_edges_without_construction_is_usage_error(self):
         assert_one_line_usage_error(
             run_cli("export", "path", "-k", "2", "--what", "good-edges"))
+
+    def test_json_flag_is_refused(self):
+        # --format chooses the output; export has no --json to ignore.
+        res = run_cli("export", "path", "-k", "3", "--format", "dot", "--json")
+        assert res.returncode == 2
+        assert "error: unrecognized arguments: --json" in res.stderr
+        assert res.stdout == ""
 
     def test_write_to_file(self, tmp_path):
         out = tmp_path / "g.dot"

@@ -11,7 +11,7 @@ from rankmax import (FamilySpec, Ranking, all_levels_good_edges, build_family,
                      multipartite_good_edges, next_center, path_good_edges,
                      standard_path_ranking)
 from rankmax.construct import published_readings
-from helpers import ancestor_pairs, path_graph, random_graph
+from helpers import ancestor_pairs, closure_by_peel, path_graph, random_graph
 
 # Derived by hand from the center-block characterization: a center c
 # (position divisible by 4) accepts every partner at distance >= 2 within
@@ -385,6 +385,50 @@ class TestClosureEdges:
                 labels[v - 1] = labels[u - 1]
                 with pytest.raises(ValueError):
                     closure_edges(g, Ranking(tuple(labels)))
+
+
+def closure_or_error(closure, g, r, below):
+    """(edges, tags) of a closure, or ValueError when it raises one."""
+    try:
+        es = closure(g, r, below=below)
+    except ValueError:
+        return ValueError
+    return es.edges, es.tags
+
+
+class TestLevelWalkMatchesThePeel:
+    def test_random_labelings(self):
+        # A third of the labelings are valid elimination rankings, a third
+        # have one label changed, a third are uniform; a few are short.
+        rng = Random(15)
+        mismatches, verdicts = [], {True: 0, False: 0}
+        for _ in range(3000):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.random())
+            labels = list(elimination_ranking(rng, g).labels)
+            kind = rng.randrange(3)
+            if kind == 1:
+                labels[rng.randrange(n)] = rng.randint(1, n)
+            elif kind == 2:
+                labels = [rng.randint(1, rng.randint(1, n)) for _ in range(n)]
+            if rng.random() < 0.02:
+                labels.pop()
+            r = Ranking(tuple(labels))
+            for below in (None, rng.randint(1, n + 1)):
+                want = closure_or_error(closure_by_peel, g, r, below)
+                got = closure_or_error(closure_edges, g, r, below)
+                if got != want:
+                    mismatches.append((g, r, below, got, want))
+            if len(labels) < n:
+                with pytest.raises(ValueError):
+                    is_valid_ranking(g, r)
+                continue
+            valid = want is not ValueError
+            verdicts[valid] += 1
+            if is_valid_ranking(g, r) != valid:
+                mismatches.append((g, r, "is_valid_ranking", not valid, valid))
+        assert mismatches == []
+        assert min(verdicts.values()) > 1000
 
 
 class TestEdgeSetInvariants:

@@ -475,6 +475,25 @@ class TestVerifySimultaneous:
         with pytest.raises(ValueError):
             oracle.verify_simultaneous(path_graph(7), [(1, 2)])
 
+    @pytest.mark.parametrize("n", [7, 31], ids=["exact", "certificate"])
+    def test_endpoint_outside_the_host_rejected(self, oracle, n):
+        # Vertex 0 would set bit 0, which no search mask holds: unchecked,
+        # the exact search would answer as if the edge were absent.
+        for bad in [(0, 2), (-1, 2), (2, n + 1)]:
+            for witness in (None, Ranking(tuple(range(1, n + 1)))):
+                with pytest.raises(ValueError):
+                    oracle.verify_simultaneous(path_graph(n), [(1, 4), bad],
+                                               witness=witness)
+
+    def test_exact_mode_builds_no_union_graph(self, oracle, monkeypatch):
+        # The union is searched on an overlay of the host's engine.
+        def refuse(self, es):
+            raise AssertionError("exact mode built the union graph")
+        monkeypatch.setattr(Graph, "add_edges", refuse)
+        assert oracle.verify_simultaneous(path_graph(7), HP3).ok
+        check = oracle.verify_simultaneous(path_graph(7), [(1, 3)])
+        assert (check.ok, check.base_rank, check.union_rank) == (False, 3, 4)
+
     def test_certificate_for_thirty_one_path(self, oracle):
         check = oracle.verify_simultaneous(
             path_graph(31), path_good_edges(5).edges,
