@@ -173,6 +173,9 @@ def cmd_good_edges(args) -> int:
     if args.strict_paper:
         if args.json:
             raise UsageError("--strict-paper prints a text report, not JSON")
+        if args.mode != "construct":
+            raise UsageError("--strict-paper prints its own report; "
+                             f"drop --mode {args.mode}")
         report, match = _strict_paper_report(spec, oracle)
         _emit(report, args.out)
         return 0 if match else 1

@@ -98,32 +98,36 @@ class SimultaneousCheck:
         return self.ok
 
 
-def longest_path_length(g: Graph) -> int:
-    """Length (vertex count) of a path exhibited in the graph.
+def _walk(adj: tuple[int, ...], mask: int, start: int) -> int:
+    """Vertex count of the greedy walk inside `mask` from `start`: each step
+    goes to the unvisited neighbour with the fewest unvisited neighbours,
+    ties to the smaller vertex.  The walk is a path, so a path on that many
+    vertices, of rank number its bit length, lies inside `mask`."""
+    left = mask & ~(1 << start)
+    v = start
+    length = 1
+    while options := adj[v] & left:
+        if options & (options - 1):
+            v = min(bits(options), key=lambda u: ((adj[u] & left).bit_count(), u))
+        else:
+            v = options.bit_length() - 1
+        left ^= 1 << v
+        length += 1
+    return length
 
-    Greedy depth-first walks from each start vertex, lowest degree first,
-    preferring neighbors with the fewest onward options, until a walk covers
-    every vertex; exact on paths and cycles (in linear time), best-effort
-    elsewhere.  Only ever used as a certified lower bound.
-    """
+
+def longest_path_length(g: Graph) -> int:
+    """Length (vertex count) of a path exhibited in the graph: the longest
+    greedy walk (`_walk`), trying starts lowest degree first until a walk
+    covers every vertex.  Exact on paths and cycles, in linear time, and
+    best-effort elsewhere; only ever used as a certified lower bound."""
     adj = g.adjacency
     mask = g.members
     best = 1
     for start in sorted(bits(mask), key=lambda v: (adj[v].bit_count(), v)):
         if best == g.n:
             break
-        seen = 1 << start
-        v = start
-        length = 1
-        while True:
-            options = adj[v] & mask & ~seen
-            if not options:
-                break
-            v = min(bits(options),
-                    key=lambda u: ((adj[u] & mask & ~seen).bit_count(), u))
-            seen |= 1 << v
-            length += 1
-        best = max(best, length)
+        best = max(best, _walk(adj, mask, start))
     return best
 
 
@@ -166,40 +170,16 @@ class _Engine:
             ends |= (1 << u) | (1 << v)
         return _Engine(tuple(adj), self, ends)
 
-    def _bfs_far(self, mask: int, start: int) -> tuple[int, int]:
-        adj = self.adj
-        seen = frontier = 1 << start
-        dist, far = 0, start
-        while True:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= adj[b.bit_length() - 1]
-            nxt &= mask & ~seen
-            if not nxt:
-                return dist, far
-            dist += 1
-            seen |= nxt
-            frontier = nxt
-            far = (nxt & -nxt).bit_length() - 1
-
     def lower_bound(self, comp: int) -> int:
         """Certified lower bound for a connected component: the rank number
-        of a shortest path exhibited by a double BFS sweep."""
-        cached = self.lb_cache.get(comp)
-        if cached is not None:
-            return cached
-        size = comp.bit_count()
-        if size <= 2:
-            lb = size
-        else:
-            start = (comp & -comp).bit_length() - 1
-            _, far = self._bfs_far(comp, start)
-            d, _ = self._bfs_far(comp, far)
-            lb = (d + 1).bit_length()
-        self.lb_cache[comp] = lb
+        of the greedy walk (`_walk`) from one vertex of least degree in it.
+        Exact on paths and cycles; one start only, since trying every start
+        costs a full walk per vertex on a component that no walk covers."""
+        lb = self.lb_cache.get(comp)
+        if lb is None:
+            adj = self.adj
+            start = min(bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), v))
+            lb = self.lb_cache[comp] = _walk(adj, comp, start).bit_length()
         return lb
 
     def feasible(self, mask: int, budget: int) -> bool:

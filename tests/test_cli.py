@@ -149,6 +149,13 @@ class TestGoodEdges:
         assert_one_line_usage_error(res)
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("mode", ["oracle", "compare"])
+    def test_strict_paper_with_a_mode_is_usage_error(self, mode):
+        res = run_cli("good-edges", "path", "-k", "3", "--strict-paper",
+                      "--mode", mode)
+        assert_one_line_usage_error(res)
+        assert res.stdout == ""
+
     def test_size_without_construction_is_usage_error(self):
         assert_one_line_usage_error(run_cli("good-edges", "path", "-k", "2"))
 

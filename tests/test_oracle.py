@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmax import (CapExceeded, FamilySpec, Graph, RankOracle, Ranking,
-                     build_family, components_masks, cycle_good_edges,
+                     bits, build_family, components_masks, cycle_good_edges,
                      family_good_edges, family_ranking, is_valid_ranking,
                      longest_path_length, path_good_edges,
                      standard_cycle_ranking, standard_path_ranking)
@@ -744,6 +744,13 @@ class TestDownwardRank:
         assert value == 4
         assert stats.nodes_expanded == 23
 
+    def test_a_cycle_bound_is_tight(self):
+        # The walk covers the cycle, so its bound is the rank and no
+        # downward search runs.
+        value, stats = RankOracle().rank_number(cycle_graph(16))
+        assert value == 5
+        assert stats.nodes_expanded == 24
+
     # feasible_connected computes the path bound only at budgets below
     # size.bit_length(); that skips no prune while this holds.
     @pytest.mark.parametrize("seed", range(5))
@@ -754,6 +761,23 @@ class TestDownwardRank:
             eng = _Engine(g.adjacency)
             for comp in components_masks(g.adjacency, rng.getrandbits(g.n) << 1):
                 assert eng.lower_bound(comp) <= comp.bit_count().bit_length()
+
+
+class TestEngineBound:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_at_most_the_rank_of_the_component(self, seed):
+        rng = Random(1600 + seed)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.35, 0.5)))
+            eng = _Engine(g.adjacency)
+            for comp in components_masks(g.adjacency, rng.getrandbits(g.n) << 1):
+                assert eng.lower_bound(comp) <= reference_rank(induced(g, bits(comp)))
+
+    def test_exact_on_paths_and_cycles(self):
+        for g in [path_graph(n) for n in range(1, 65)] + [
+                cycle_graph(n) for n in range(3, 65)]:
+            bound = _Engine(g.adjacency).lower_bound(g.members)
+            assert bound == longest_path_length(g).bit_length() == g.n.bit_length()
 
 
 class TestLongestPath:
