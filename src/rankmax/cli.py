@@ -237,8 +237,7 @@ def cmd_mu(args) -> int:
         g = build_family(spec)
         good, verdicts = oracle.good_edge_set(g, spec)
         rows.append(("individually good edges", len(good)))
-        sim = oracle.verify_simultaneous(g, family_good_edges(spec).edges,
-                                         witness=family_ranking(spec))
+        sim = oracle.verify_simultaneous(g, family_good_edges(spec).edges)
         rows.append(("constructed set simultaneous", int(sim.ok)))
     if args.json:
         _emit(_json_text({"family": spec.to_json_dict(),

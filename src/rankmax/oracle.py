@@ -17,11 +17,9 @@ added edges (one candidate edge, or a whole edge set checked for
 simultaneous addition) is searched on an overlay of the host's engine,
 which shares the host's work on every component that contains no added
 edge; an oracle keeps only the engine of the host it was last given.  A
-component that does contain added edges is bounded by the host's memo from
-both sides, since rank numbers are monotone under subgraphs: the host's
-subgraph on it needing more than the budget refutes it, and the host's
-fitting in the budget less one label per shared endpoint but one accepts
-it.
+component that does contain added edges is first checked in the host's
+memo, since rank numbers are monotone under subgraphs: the host's subgraph
+on it needing more than the budget refutes it.  Otherwise it is searched.
 
 Everything here is exact: order caps trigger explicit refusal, never
 silent approximation.
@@ -142,13 +140,13 @@ class _Engine:
     component can hold one whole added edge and miss an endpoint of
     another, so missing an endpoint is not enough.)
 
-    Such a component is first decided from the host's memo.  The host's
-    subgraph on it is a spanning subgraph, so if the host needs more than
-    the budget, so does the overlay (this prunes by the host's cached lower
-    bounds, so the overlay computes none of its own).  Fresh top labels on
-    all but one of its s shared endpoints delete every added edge inside
-    it, so if the host fits in budget - s + 1 labels, so does the overlay
-    in the budget.  Only components between the two bounds are searched."""
+    Such a component is first checked in the host's memo, at the same
+    budget.  The host's subgraph on it is a spanning subgraph, so if the
+    host needs more than the budget, so does the overlay (this prunes by
+    the host's cached lower bounds, so the overlay computes none of its
+    own).  Only the components the host fits are searched on the overlay.
+    The host is asked through `feasible`, which splits a mask into its
+    host components, since the host's subgraph need not be connected."""
 
     __slots__ = ("adj", "memo", "lb_cache", "nodes", "host", "ends")
 
@@ -203,26 +201,19 @@ class _Engine:
         if budget <= 0:
             return False
         host = self.host
-        if host is not None:
+        if host is None:
+            if budget < size.bit_length() and self.lower_bound(comp) > budget:
+                return False  # the bound is at most size.bit_length()
+        else:
             shared = comp & self.ends
-            if shared & (shared - 1) == 0:
-                return host.feasible_connected(comp, budget)
-        elif budget < size.bit_length() and self.lower_bound(comp) > budget:
-            return False  # the bound is at most size.bit_length()
+            fits = host.feasible(comp, budget)  # spans the overlay's subgraph
+            if not fits or shared & (shared - 1) == 0:
+                return fits  # at most one endpoint: the same subgraph
         key = (comp, budget)
         hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if host is None:
-            result = self._split(comp, budget)
-        elif not host.feasible(comp, budget):
-            result = False  # the host's subgraph on comp spans the overlay's
-        elif host.feasible(comp, budget + 1 - shared.bit_count()):
-            result = True  # fresh top labels on all shared endpoints but one
-        else:
-            result = self._split(comp, budget)
-        self.memo[key] = result
-        return result
+        if hit is None:
+            hit = self.memo[key] = self._split(comp, budget)
+        return hit
 
     def _split(self, comp: int, budget: int) -> bool:
         """True iff deleting some vertex of the connected `comp` leaves
@@ -266,7 +257,8 @@ class _Engine:
         return best
 
     def enumerate_labelings(self, mask: int, budget: int) -> list[dict[int, int]]:
-        """All valid labelings of `mask` with labels in 1..budget.
+        """All valid labelings of `mask` with labels in 1..budget.  `mask`
+        must be feasible at `budget`, so every component has an option.
 
         Per component, the top label either goes to exactly one vertex or is
         unused; both branches recurse one budget lower, guarded by
@@ -286,8 +278,6 @@ class _Engine:
                         assignment = dict(sub)
                         assignment[v] = budget
                         options.append(assignment)
-            if not options:
-                return []
             per_comp.append(options)
         merged = per_comp[0]
         for options in per_comp[1:]:
@@ -326,23 +316,23 @@ class RankOracle:
         """True iff the graph has a ranking with labels at most k."""
         return self._engine(g).feasible(g.members, k)
 
-    def classify_edge(self, g: Graph, e: tuple[int, int],
-                      base_rank: int | None = None) -> EdgeVerdict:
+    def classify_edge(self, g: Graph, e: tuple[int, int]) -> EdgeVerdict:
         """Good/forbidden verdict for one candidate edge.
 
         A single added edge raises the rank number by at most one (give the
         new edge's endpoint a fresh top label above an optimal ranking), so
-        the augmented rank is decided by one budgeted search at the base
-        rank.
+        the augmented rank is decided by one budgeted search at the host's
+        rank, which the oracle finds itself (a memo hit after the first
+        call on a host).
         """
         u, v = edge(*e)
         if g.has_edge(u, v) or not (g.has_vertex(u) and g.has_vertex(v)):
             raise ValueError(f"({u},{v}) is not a non-edge of the host graph")
-        if base_rank is None:
-            base_rank, _ = self.rank_number(g)
-        good = self._engine(g).with_edges([(u, v)]).feasible(g.members, base_rank)
-        return EdgeVerdict(edge=(u, v), base_rank=base_rank,
-                           augmented_rank=base_rank if good else base_rank + 1,
+        eng = self._engine(g)
+        base = eng.rank(g.members)
+        good = eng.with_edges([(u, v)]).feasible(g.members, base)
+        return EdgeVerdict(edge=(u, v), base_rank=base,
+                           augmented_rank=base if good else base + 1,
                            verdict="good" if good else "forbidden")
 
     def good_edge_set(self, g: Graph, family: FamilySpec | None = None
@@ -366,7 +356,7 @@ class RankOracle:
         # finder, so rank searches and certificates never compile it.
         from ._orbits import non_edge_orbits
 
-        base, _ = self.rank_number(g)
+        check_cap(g.n, self.cap)  # refuse before finding orbits
         cls, orbit = non_edge_orbits(g.adjacency)
         searched: dict[tuple[int, int], EdgeVerdict] = {}
         verdicts = []
@@ -375,7 +365,7 @@ class RankOracle:
             key = orbit[(a, b) if a <= b else (b, a)]
             hit = searched.get(key)
             if hit is None:
-                hit = searched[key] = self.classify_edge(g, (u, v), base)
+                hit = searched[key] = self.classify_edge(g, (u, v))
             else:
                 hit = replace(hit, edge=(u, v))
             verdicts.append(hit)

@@ -56,7 +56,7 @@ def assert_saturated(oracle, g, constructed, base):
     assert oracle.rank_number(union)[0] == base
     rest = union.non_edges()
     for e in rest:
-        verdict = oracle.classify_edge(union, e, base)
+        verdict = oracle.classify_edge(union, e)
         assert not verdict.is_good, f"{e} can be added after the construction"
     return set(rest)
 
@@ -92,7 +92,7 @@ def test_criterion2_cycle_construction_and_rank():
     assert len(constructed) == 33
     base, _ = oracle.rank_number(g)
     assert base == 5
-    assert all(oracle.classify_edge(g, e, base).is_good for e in constructed)
+    assert all(oracle.classify_edge(g, e).is_good for e in constructed)
     union_rank, _ = oracle.rank_number(g.add_edges(constructed.edges))
     assert union_rank == 5
     elapsed = report(2, "33 constructed edges, rank stays 5", t0)
@@ -144,7 +144,7 @@ def test_criterion3_joined_cliques_construction_and_rank():
     assert len(constructed) == 8
     base, _ = oracle.rank_number(g)
     assert base == 6
-    assert all(oracle.classify_edge(g, e, base).is_good for e in constructed)
+    assert all(oracle.classify_edge(g, e).is_good for e in constructed)
     union_rank, _ = oracle.rank_number(g.add_edges(constructed.edges))
     assert union_rank == 6
     elapsed = report(3, "8 constructed edges, rank stays 6", t0)
@@ -216,7 +216,7 @@ def test_criterion5_path_forbidden_complement():
         constructed = path_good_edges(k).edge_set()
         base, _ = oracle.rank_number(g)
         for e in g.non_edges():
-            verdict = oracle.classify_edge(g, e, base)
+            verdict = oracle.classify_edge(g, e)
             if e in constructed:
                 assert verdict.is_good
             else:
@@ -323,7 +323,7 @@ def test_criterion8_path_edges_remain_good_on_cycles():
         c = build_family(FamilySpec.cycle(k))
         base, _ = oracle.rank_number(c)
         for e in path_good_edges(k):
-            assert oracle.classify_edge(c, e, base).is_good
+            assert oracle.classify_edge(c, e).is_good
     report(8, "path constructions inherited by cycles", t0)
 
 

@@ -158,7 +158,7 @@ class TestTwinRichGraphs:
             assert value == brute_rank(g, checker)
         for e in g.non_edges():
             good = reference_rank(g.add_edges([e])) == value
-            assert oracle.classify_edge(g, e, value).is_good == good, e
+            assert oracle.classify_edge(g, e).is_good == good, e
 
     @pytest.mark.parametrize("parts", PROFILES, ids=str)
     def test_complete_multipartite_profiles(self, oracle, parts):
@@ -211,6 +211,14 @@ class TestClassifyEdge:
             exact, _ = oracle.rank_number(g.add_edges([e]))
             assert v.augmented_rank == exact
             assert v.base_rank <= exact <= v.base_rank + 1
+
+    def test_the_host_rank_is_the_oracles_own(self, oracle):
+        # Five labels fit P_7 + (1,3), so a rank set by the caller could
+        # turn this forbidden edge good; the oracle ranks the host itself.
+        with pytest.raises(TypeError):
+            oracle.classify_edge(path_graph(7), (1, 3), 5)
+        v = oracle.classify_edge(path_graph(7), (1, 3))
+        assert (v.verdict, v.base_rank, v.augmented_rank) == ("forbidden", 3, 4)
 
     def test_json_shape(self, oracle):
         v = oracle.classify_edge(path_graph(7), (1, 3))
@@ -269,7 +277,7 @@ def overlay_searches(g):
 def per_edge_verdicts(g):
     oracle = RankOracle()
     base = oracle.rank_number(g)[0]
-    return [oracle.classify_edge(g, e, base) for e in g.non_edges()]
+    return [oracle.classify_edge(g, e) for e in g.non_edges()]
 
 
 class TestTwinOrbits:
@@ -559,11 +567,11 @@ def star_and_matching_cases():
 
 
 class TestHostBounds:
-    """An overlay component holding added edges is first decided from the
-    host's memo: refuted when the host needs more than the budget, accepted
-    when the host fits in the budget less one label per shared endpoint but
-    one.  Both host checks memoize feasible(mask, budget) in the host's
-    memo, under the key a connected component uses."""
+    """An overlay component holding added edges is first checked in the
+    host's memo: refuted when the host needs more than the budget, and
+    searched on the overlay otherwise.  The host check memoizes
+    feasible(mask, budget) in the host's memo, under the key a connected
+    component uses."""
 
     @pytest.mark.parametrize("g", [
         path_graph(15), cycle_graph(16),
@@ -594,7 +602,7 @@ class TestHostBounds:
 
     def test_stars_and_matchings_match_a_fresh_search_of_the_union(self):
         # Several added edges share one component of the union, so the
-        # accepting bound gives up one label per shared endpoint but one.
+        # overlay searches it after the host's memo fails to refute it.
         shared = RankOracle()
         mismatches, rejects = [], 0
         for g, added in star_and_matching_cases():
@@ -609,10 +617,63 @@ class TestHostBounds:
         assert 10 < rejects < 50
 
 
+def host_questions(run):
+    """(host budget, overlay budget) for every question an overlay asks its
+    host through `feasible` while `run()` runs."""
+    asked, budgets = [], []
+    feasible, feasible_connected = _Engine.feasible, _Engine.feasible_connected
+
+    def spy_connected(self, comp, budget):
+        if self.host is None:
+            return feasible_connected(self, comp, budget)
+        budgets.append(budget)
+        try:
+            return feasible_connected(self, comp, budget)
+        finally:
+            budgets.pop()
+
+    def spy_feasible(self, mask, budget):
+        if self.host is None and budgets:
+            asked.append((budget, budgets[-1]))
+        return feasible(self, mask, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "feasible", spy_feasible)
+        mp.setattr(_Engine, "feasible_connected", spy_connected)
+        run()
+    return asked
+
+
+class TestOverlayAsksItsHost:
+    """An overlay asks its host only at the overlay's own budget: the host
+    bound refutes, and nothing is accepted from a host search at a lower
+    budget."""
+
+    @pytest.mark.parametrize("g", [
+        path_graph(15), build_family(FamilySpec.multipartite(4, 3, 2))],
+        ids=["P15", "K432"])
+    def test_classification(self, g):
+        asked = host_questions(lambda: RankOracle().good_edge_set(g))
+        assert asked
+        assert [a for a in asked if a[0] != a[1]] == []
+
+    def test_stars_and_matchings(self):
+        oracle = RankOracle()
+        asked = host_questions(lambda: [
+            oracle.verify_simultaneous(g, added)
+            for g, added in star_and_matching_cases()])
+        assert asked
+        assert [a for a in asked if a[0] != a[1]] == []
+
+
 class TestSearchHygiene:
     def test_cap_refusal(self, oracle):
         with pytest.raises(CapExceeded):
             oracle.rank_number(path_graph(21))
+
+    def test_classification_refuses_above_the_cap(self):
+        with pytest.raises(CapExceeded, match="cap of 6"):
+            RankOracle(cap=6).good_edge_set(path_graph(7))
 
     def test_stats_are_per_call(self):
         oracle = RankOracle()
