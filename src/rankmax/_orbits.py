@@ -163,8 +163,6 @@ def non_edge_orbits(adj: tuple[int, ...]
             else:
                 pairs.append((i, j))
     gens = generators(qadj, list(zip(sizes, true_twins))) if pairs else []
-    if not gens:
-        return cls, {p: p for p in pairs}
     orbit: dict[tuple[int, int], tuple[int, int]] = {}
     for p in pairs:
         if p in orbit:

@@ -188,9 +188,8 @@ def cmd_good_edges(args) -> int:
             _emit(f"{len(es)} edges for {spec.describe()}\n{body}\n", args.out)
         return 0
     check_cap(spec.vertex_count, args.cap)
-    g = build_family(spec)
     if args.mode == "oracle":
-        good, verdicts = oracle.good_edge_set(g, spec)
+        good, verdicts = oracle.good_edge_set(build_family(spec), spec)
         if args.json:
             _emit(_json_text({"good": good.to_json_dict(),
                               "verdicts": [v.to_json_dict() for v in verdicts]}),

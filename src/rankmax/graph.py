@@ -120,14 +120,7 @@ class Graph:
     def add_edges(self, es: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with the given edges added; duplicates of existing edges
         are ignored."""
-        new = list(self._edges)
-        for u, v in es:
-            u, v = edge(u, v)
-            if not self.has_vertex(u) or not self.has_vertex(v):
-                raise ValueError(f"edge ({u},{v}) touches a vertex outside the graph")
-            if not self.has_edge(u, v):
-                new.append((u, v))
-        return Graph(self.n, new)
+        return Graph(self.n, (*self._edges, *es))
 
     def non_edges(self) -> list[tuple[int, int]]:
         """All vertex pairs of the graph that are not edges, sorted."""

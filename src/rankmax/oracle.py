@@ -129,6 +129,15 @@ def longest_path_length(g: Graph) -> int:
     return best
 
 
+def _non_edges(g: Graph, pairs) -> list[tuple[int, int]]:
+    """The pairs normalized; raises unless each is a non-edge of `g`."""
+    added = [edge(*e) for e in pairs]
+    for u, v in added:
+        if g.has_edge(u, v) or not (g.has_vertex(u) and g.has_vertex(v)):
+            raise ValueError(f"({u},{v}) is not a non-edge of the host graph")
+    return added
+
+
 class _Engine:
     """Search state bound to one adjacency structure.
 
@@ -143,8 +152,9 @@ class _Engine:
     Such a component is first checked in the host's memo, at the same
     budget.  The host's subgraph on it is a spanning subgraph, so if the
     host needs more than the budget, so does the overlay (this prunes by
-    the host's cached lower bounds, so the overlay computes none of its
-    own).  Only the components the host fits are searched on the overlay.
+    the host's cached lower bounds; the overlay walks its own components
+    for a bound only in `rank`, on a reject in `verify_simultaneous`).
+    Only the components the host fits are searched on the overlay.
     The host is asked through `feasible`, which splits a mask into its
     host components, since the host's subgraph need not be connected."""
 
@@ -264,9 +274,7 @@ class _Engine:
         unused; both branches recurse one budget lower, guarded by
         feasibility so only completable structures are walked.
         """
-        if mask == 0:
-            return [{}]
-        per_comp: list[list[dict[int, int]]] = []
+        merged: list[dict[int, int]] = [{}]
         for comp in components_masks(self.adj, mask):
             options: list[dict[int, int]] = []
             if self.feasible(comp, budget - 1):
@@ -278,9 +286,6 @@ class _Engine:
                         assignment = dict(sub)
                         assignment[v] = budget
                         options.append(assignment)
-            per_comp.append(options)
-        merged = per_comp[0]
-        for options in per_comp[1:]:
             merged = [{**a, **b} for a in merged for b in options]
         return merged
 
@@ -325,9 +330,7 @@ class RankOracle:
         rank, which the oracle finds itself (a memo hit after the first
         call on a host).
         """
-        u, v = edge(*e)
-        if g.has_edge(u, v) or not (g.has_vertex(u) and g.has_vertex(v)):
-            raise ValueError(f"({u},{v}) is not a non-edge of the host graph")
+        [(u, v)] = _non_edges(g, [e])
         eng = self._engine(g)
         base = eng.rank(g.members)
         good = eng.with_edges([(u, v)]).feasible(g.members, base)
@@ -388,10 +391,7 @@ class RankOracle:
         the cap).  Equality follows when the two bounds meet; a
         certificate-mode failure means "not certified", not "disproved".
         """
-        added = [edge(*e) for e in added]
-        for u, v in added:
-            if g.has_edge(u, v) or not (g.has_vertex(u) and g.has_vertex(v)):
-                raise ValueError(f"({u},{v}) is not a non-edge of the host graph")
+        added = _non_edges(g, added)
         if g.n <= self.cap:
             base, _ = self.rank_number(g)
             overlay = self._engine(g).with_edges(added)

@@ -143,7 +143,7 @@ def run_multipartite_suite(oracle: RankOracle) -> list[ClaimResult]:
         base, _ = oracle.rank_number(g)
         rank_ok.append(base == expected == r.max_label and is_valid_ranking(g, r))
         good = multipartite_good_edges(spec)
-        sim = oracle.verify_simultaneous(g, good.edges, witness=r)
+        sim = oracle.verify_simultaneous(g, good.edges)
         sim_ok.append(sim.ok)
         oracle_good, verdicts = oracle.good_edge_set(g, spec)
         tied = len(parts) > 1 and parts[1] == parts[0]
@@ -190,7 +190,7 @@ def run_joined_suite(oracle: RankOracle) -> list[ClaimResult]:
         _claim(res, f"joined-count-n{n}",
                "constructed set has 2(n-1) edges",
                len(good) == 2 * (n - 1), f"{len(good)} edges")
-        sim = oracle.verify_simultaneous(g, good.edges, witness=r)
+        sim = oracle.verify_simultaneous(g, good.edges)
         _claim(res, f"joined-simultaneous-n{n}",
                "adding the whole constructed set preserves the rank number",
                sim.ok, f"{sim.mode}: {sim.detail}")

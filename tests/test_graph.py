@@ -114,6 +114,15 @@ class TestAddEdges:
         with pytest.raises(ValueError):
             path_graph(5).add_edges([(1, 6)])
 
+    def test_one_shot_generator(self):
+        g = path_graph(5).add_edges((u, u + 2) for u in (3, 1, 2))
+        assert g == Graph(5, [*path_graph(5).edges, (1, 3), (2, 4), (3, 5)])
+
+    @pytest.mark.parametrize("pair", [(2, 2), (0, 3)], ids=["self-loop", "end-0"])
+    def test_self_loop_and_zero_end_rejected(self, pair):
+        with pytest.raises(ValueError):
+            path_graph(5).add_edges([pair])
+
 
 @st.composite
 def graphs(draw, max_n=7):

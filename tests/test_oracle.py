@@ -1,3 +1,6 @@
+import subprocess
+import sys
+from itertools import product
 from random import Random
 
 import pytest
@@ -11,13 +14,13 @@ from rankmax import (CapExceeded, FamilySpec, Graph, RankOracle, Ranking,
                      standard_cycle_ranking, standard_path_ranking)
 from rankmax import _orbits
 from rankmax.oracle import _Engine
-from rankmax.verify import run_uniqueness_suite
+from rankmax.verify import multipartite_profiles, run_uniqueness_suite
 from helpers import (all_graphs, blow_up, brute_rank, circulant_graph,
                      complete_graph, cube_graph, cycle_graph,
                      greedy_path_all_starts, mirrored_graph,
                      non_edge_orbits_reference, path_graph, petersen_graph,
-                     random_graph, reference_rank, star_graph,
-                     valid_by_path_definition)
+                     random_graph, rankmax_env, reference_rank,
+                     star_graph, valid_by_path_definition)
 
 HP3 = {(1, 4), (2, 4), (4, 6), (4, 7)}
 
@@ -43,15 +46,6 @@ def by_is_valid_ranking(g, labels):
     return is_valid_ranking(g, Ranking(tuple(labels[v] for v in range(1, g.n + 1))))
 
 
-def partitions(n, largest):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first, *rest)
-
-
 def is_twin_free(g):
     """No two vertices share an open or a closed neighbourhood."""
     open_ = {g.adjacency[v] for v in g.vertices()}
@@ -69,7 +63,7 @@ def small_blow_ups(seeds, base=None, count=None):
 # profile of at most six vertices, random blow-ups of graphs on 2..4
 # vertices, and blow-ups of short paths and cycles, whose blocks can share a
 # degree without being twins.
-PROFILES = [p for n in range(2, 7) for p in partitions(n, n) if len(p) >= 2]
+PROFILES = multipartite_profiles(6)
 BLOW_UPS = (small_blow_ups(range(700, 760), count=20)
             + small_blow_ups(range(800, 820), path_graph(5), 4)
             + small_blow_ups(range(820, 840), cycle_graph(5), 4)
@@ -258,6 +252,19 @@ class TestGoodEdgeSet:
         good, _ = oracle.good_edge_set(g)
         assert good.edge_set() == {(1, 2), (3, 4)}
 
+    def test_orbit_finder_is_imported_on_first_use(self):
+        # The library and its claim suites load without the orbit finder,
+        # the CLI or the exporters, so rank searches and certificates do
+        # not pay to import them.
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rankmax, rankmax.verify; "
+             "print(*sorted(m for m in sys.modules if m.startswith('rankmax.')))"],
+            capture_output=True, text=True, env=rankmax_env(), check=True)
+        loaded = set(res.stdout.split())
+        assert "rankmax.verify" in loaded
+        assert not loaded & {"rankmax._orbits", "rankmax.cli", "rankmax.export"}
+
 
 def overlay_searches(g):
     """The verdicts of `good_edge_set` on g and the overlays it searched."""
@@ -287,7 +294,7 @@ class TestTwinOrbits:
     equal a search of its own edge."""
 
     HOSTS = ([build_family(FamilySpec.multipartite(*p))
-              for n in range(2, 8) for p in partitions(n, n) if len(p) >= 2]
+              for p in multipartite_profiles(7)]
              + [build_family(FamilySpec.joined(n)) for n in range(2, 6)]
              + BLOW_UPS
              # no twins
@@ -325,7 +332,7 @@ class TestTwinOrbits:
         ([path_graph(7), path_graph(15), cycle_graph(8), cycle_graph(16)], 68),
         ([build_family(FamilySpec.joined(n)) for n in range(2, 7)]
          + [build_family(FamilySpec.multipartite(*p))
-            for n in range(2, 10) for p in partitions(n, n) if len(p) >= 2], 122),
+            for p in multipartite_profiles(9)], 122),
     ], ids=["classify_sparse", "classify_dense"])
     def test_overlay_searches_of_one_benchmark_pass(self, hosts, overlays):
         # The hosts of one pass of the benchmark's classify workloads: an
@@ -370,7 +377,28 @@ class TestTwinOrbits:
         assert starved_searches >= searched
 
 
+def all_optimal_labelings(g):
+    """Every labeling that passes the path definition with the fewest labels
+    possible, sorted, by trying each one with labels 1..k for k = 1, 2, ..."""
+    for k in range(1, g.n + 1):
+        found = [labels for labels in product(range(1, k + 1), repeat=g.n)
+                 if valid_by_path_definition(g, dict(zip(g.vertices(), labels)))]
+        if found:
+            return found  # product yields the labelings in sorted order
+
+
 class TestEnumerateOptimalRankings:
+    def test_every_small_graph_by_brute_force(self, oracle):
+        # Two or more components exercise the product over components, and
+        # an isolated vertex or a small component the unused top label.
+        split = [g for g in (random_graph(Random(s), 5 + s % 2, 0.4)
+                             for s in range(300, 400))
+                 if len(g.connected_components()) >= 2][:40]
+        assert len(split) == 40
+        for g in [g for n in range(1, 5) for g in all_graphs(n)] + split:
+            found = oracle.enumerate_optimal_rankings(g)
+            assert [r.labels for r in found] == all_optimal_labelings(g), g.edges
+
     def test_seven_path_unique(self, oracle):
         found = oracle.enumerate_optimal_rankings(path_graph(7))
         assert found == [standard_path_ranking(3)]
