@@ -8,7 +8,7 @@ from .construct import (EdgeSet, all_levels_good_edges, closure_edges,
                         mu_multipartite, mu_path, mu_path_recurrence, mu_value,
                         multipartite_forbidden_edges, multipartite_good_edges,
                         next_center, path_good_edges)
-from .graph import Graph, bits, components_masks, edge, full_mask, mask_of
+from .graph import Graph, bits, components_masks, edge
 from .oracle import (CapExceeded, EdgeVerdict, RankOracle, SearchStats,
                      SimultaneousCheck, longest_path_length)
 from .ranking import (FamilySpec, Ranking, build_family, family_rank_value,

@@ -1,9 +1,11 @@
 """Simple undirected graphs on the vertices 1..n, with bitmask vertex sets.
 
-Vertex subsets are plain ints: bit v set means vertex v is in the set
-(bit 0 is never used).  That keeps subsets hashable and cheap, which the
-exhaustive search relies on; Python ints are unbounded, so the graph order
-is not limited by a machine word.
+A graph stores one thing, the neighbour bitmask of each vertex; its edges
+and non-edges are read from those masks, in sorted order.  Vertex subsets
+are plain ints too: bit v set means vertex v is in the set (bit 0 is never
+used).  That keeps subsets hashable and cheap, which the exhaustive search
+relies on; Python ints are unbounded, so the graph order is not limited by
+a machine word.
 """
 
 from __future__ import annotations
@@ -18,13 +20,6 @@ def edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def bits(mask: int) -> Iterator[int]:
     """Vertices of a bitmask in ascending order."""
     while mask:
@@ -33,66 +28,60 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def full_mask(n: int) -> int:
-    return (1 << (n + 1)) - 2
-
-
 def components_masks(adj: tuple[int, ...], mask: int) -> list[int]:
     """Connected components of the subgraph induced by `mask`, as bitmasks.
 
-    Deterministic order: by smallest contained vertex.
+    Deterministic order: by smallest contained vertex, from which one
+    worklist grows the component.
     """
     comps = []
-    rest = mask
-    while rest:
-        seed = rest & -rest
-        comp = seed
+    while mask:
+        seed = mask & -mask
+        left = mask ^ seed
         frontier = seed
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & mask & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
+        while frontier and left:
+            v = frontier.bit_length() - 1
+            frontier ^= 1 << v
+            new = adj[v] & left
+            left ^= new
+            frontier |= new
+        comps.append(mask ^ left)
+        mask = left
     return comps
 
 
 class Graph:
     """Immutable simple undirected graph on the vertices 1..n.
 
-    `members` is the bitmask of 1..n.  Vertex subsets, such as the
-    components of an induced subgraph, are bitmasks passed to
-    `connected_components`, not graphs of their own.
+    The neighbour bitmasks in `adjacency` are its one stored form: `edges`
+    and `non_edges()` are read from them, in sorted order.  `members` is
+    the bitmask of 1..n.  Vertex subsets, such as the components of an
+    induced subgraph, are bitmasks passed to `connected_components`, not
+    graphs of their own.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError(f"vertex count must be at least 1, got {n}")
         self.n = n
-        self.members = full_mask(n)
+        self.members = (1 << (n + 1)) - 2
         adj = [0] * (n + 1)
-        es = set()
         for u, v in edges:
             u, v = edge(u, v)
             if u < 1 or v > n:
                 raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-            if (u, v) not in es:
-                es.add((u, v))
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self._adj = tuple(adj)
-        self._edges = tuple(sorted(es))
 
     # -- basic views ---------------------------------------------------
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """Every edge as (u, v) with u < v, sorted."""
+        adj = self._adj
+        return tuple((u, v) for u in range(1, self.n)
+                     for v in bits(adj[u] >> (u + 1) << (u + 1)))
 
     @property
     def adjacency(self) -> tuple[int, ...]:
@@ -104,10 +93,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
-
-    def has_vertex(self, v: int) -> bool:
-        return 0 < v <= self.n
+        return sum(a.bit_count() for a in self._adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 < u <= self.n and 0 < v <= self.n and (self._adj[u] >> v) & 1 == 1
@@ -120,17 +106,13 @@ class Graph:
     def add_edges(self, es: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with the given edges added; duplicates of existing edges
         are ignored."""
-        return Graph(self.n, (*self._edges, *es))
+        return Graph(self.n, (*self.edges, *es))
 
     def non_edges(self) -> list[tuple[int, int]]:
         """All vertex pairs of the graph that are not edges, sorted."""
-        vs = self.vertices()
-        out = []
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                if not self.has_edge(u, v):
-                    out.append((u, v))
-        return out
+        adj, members = self._adj, self.members
+        return [(u, v) for u in range(1, self.n)
+                for v in bits(members >> (u + 1) << (u + 1) & ~adj[u])]
 
     def connected_components(self, s: int | None = None) -> list[int]:
         """Component bitmasks of the subgraph induced by the vertex mask `s`
@@ -141,15 +123,15 @@ class Graph:
     # -- serialization and identity -------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self._edges]}
+        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
     def __eq__(self, other):
         if isinstance(other, Graph):
-            return self.n == other.n and self._edges == other._edges
+            return self._adj == other._adj
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self._edges))
+        return hash(self._adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"

@@ -15,6 +15,14 @@ from random import Random
 from rankmax import EdgeSet, Graph, Ranking, bits, edge
 
 
+def mask_of(vertices) -> int:
+    """The bitmask of a collection of vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
 def rankmax_env() -> dict[str, str]:
     """The environment with this checkout's `src` first on PYTHONPATH, so a
     child `python -m rankmax` runs these sources without an install."""

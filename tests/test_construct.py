@@ -5,13 +5,14 @@ import pytest
 from rankmax import (FamilySpec, Ranking, all_levels_good_edges, build_family,
                      bits, closure_edges, cycle_good_edges, family_good_edges,
                      family_ranking, flip_bit, is_valid_ranking,
-                     joined_cliques_ranking, joined_good_edges, mask_of,
+                     joined_cliques_ranking, joined_good_edges,
                      mu_cycle, mu_joined, mu_multipartite, mu_path,
                      mu_path_recurrence, multipartite_forbidden_edges,
                      multipartite_good_edges, next_center, path_good_edges,
                      standard_path_ranking)
 from rankmax.construct import published_readings
-from helpers import ancestor_pairs, closure_by_peel, path_graph, random_graph
+from helpers import (ancestor_pairs, closure_by_peel, mask_of, path_graph,
+                     random_graph)
 
 # Derived by hand from the center-block characterization: a center c
 # (position divisible by 4) accepts every partner at distance >= 2 within

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmax import (Graph, RankOracle, bits, cycle_good_edges, mask_of,
+from rankmax import (Graph, RankOracle, bits, cycle_good_edges,
                      path_good_edges, standard_cycle_ranking)
-from helpers import bfs_components_reference, cycle_graph, path_graph
+from helpers import bfs_components_reference, cycle_graph, mask_of, path_graph
 
 from rankmax.graph import edge
 
@@ -161,6 +161,30 @@ class TestProperties:
         everything = {edge(u, v) for u in range(1, n) for v in range(u + 1, n + 1)}
         assert set(g.edges) | set(g.non_edges()) == everything
         assert set(g.edges) & set(g.non_edges()) == set()
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs())
+    def test_edges_and_non_edges_are_sorted(self, g):
+        # Verdict lists follow `non_edges()` order, so the order is pinned
+        # and not only the set.
+        everything = [(u, v) for u in range(1, g.n) for v in range(u + 1, g.n + 1)]
+        for pairs in (list(g.edges), g.non_edges()):
+            assert all(a < b for a, b in zip(pairs, pairs[1:]))
+        assert sorted([*g.edges, *g.non_edges()]) == everything
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(), st.integers(0, 2 ** 8 - 1))
+    def test_components_in_reference_order(self, g, raw):
+        subset = {v for v in g.vertices() if (raw >> v) & 1}
+        assert comps_as_sets(g, mask_of(subset)) == bfs_components_reference(g, subset)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(), st.randoms(use_true_random=False))
+    def test_same_pairs_give_an_equal_graph(self, g, rng):
+        pairs = [(v, u) for u, v in g.edges] + rng.sample(g.edges, len(g.edges) // 2)
+        rng.shuffle(pairs)
+        other = Graph(g.n, pairs)
+        assert other == g and hash(other) == hash(g)
 
     @settings(max_examples=60, deadline=None)
     @given(graphs())

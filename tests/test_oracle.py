@@ -647,8 +647,10 @@ class TestHostBounds:
 
 def host_questions(run):
     """(host budget, overlay budget) for every question an overlay asks its
-    host through `feasible` while `run()` runs."""
-    asked, budgets = [], []
+    host through `feasible` while `run()` runs.  The host's own nested
+    `feasible` calls, made while one of its `feasible` frames is open, are
+    its recursion and not questions from the overlay."""
+    asked, budgets, host_frames = [], [], []
     feasible, feasible_connected = _Engine.feasible, _Engine.feasible_connected
 
     def spy_connected(self, comp, budget):
@@ -661,9 +663,15 @@ def host_questions(run):
             budgets.pop()
 
     def spy_feasible(self, mask, budget):
-        if self.host is None and budgets:
+        if self.host is not None:
+            return feasible(self, mask, budget)
+        if budgets and not host_frames:
             asked.append((budget, budgets[-1]))
-        return feasible(self, mask, budget)
+        host_frames.append(budget)
+        try:
+            return feasible(self, mask, budget)
+        finally:
+            host_frames.pop()
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Engine, "feasible", spy_feasible)
