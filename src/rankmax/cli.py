@@ -3,6 +3,10 @@
 Verbs: generate, rank, good-edges, mu, verify, export.  Every invocation is
 deterministic: identical arguments produce byte-identical output.  Exit
 codes: 0 success / claims hold, 1 claim mismatch, 2 usage or cap errors.
+
+Each `cmd_*` verb returns its exit code and its answer: a JSON object, the
+lines to print, or finished text.  Only `main` renders the answer, writes it
+to stdout or `--out`, and turns a refusal into one `error:` line and exit 2.
 """
 
 from __future__ import annotations
@@ -22,16 +26,6 @@ from .verify import SUITES, compare_constructive_oracle, run_suite
 
 class UsageError(Exception):
     pass
-
-
-def _family_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family", choices=["path", "cycle", "multipartite", "joined"],
-                   help="graph family")
-    p.add_argument("-k", type=int, help="size exponent for path (2^k - 1 "
-                   "vertices) and cycle (2^k vertices)")
-    p.add_argument("--parts", type=int, nargs="+", metavar="M",
-                   help="multipartite part sizes")
-    p.add_argument("-n", type=int, help="clique size for the joined family")
 
 
 def _spec_from_args(args: argparse.Namespace,
@@ -77,37 +71,38 @@ def _check_out(out_path: str) -> None:
         os.remove(out_path)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(answer: str | list[str] | dict, out_path: str | None) -> None:
+    """Write text as it is, a list one item per line, a dict as JSON."""
+    if isinstance(answer, list):
+        answer = "\n".join(answer) + "\n"
+    elif not isinstance(answer, str):
+        answer = json.dumps(answer, indent=2) + "\n"
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.write(answer)
         except OSError as exc:
             raise _cannot_write(out_path, exc) from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(answer)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _pairs(edges) -> str:
+    return " ".join(f"({u},{v})" for u, v in edges)
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[int, object]:
     spec = _spec_from_args(args)
     g = build_family(spec)
     r = family_ranking(spec)
-    bundle = family_bundle(spec, g, r)
     if args.json:
-        _emit(_json_text(bundle), args.out)
-    else:
-        lines = [spec.describe(),
-                 f"vertices: {g.n}  edges: {g.edge_count}",
-                 "ranking:  " + " ".join(str(x) for x in r.labels)]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return 0, family_bundle(spec, g, r)
+    return 0, [spec.describe(),
+               f"vertices: {g.n}  edges: {g.edge_count}",
+               "ranking:  " + " ".join(str(x) for x in r.labels)]
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> tuple[int, object]:
     spec = _spec_from_args(args)
     check_cap(spec.vertex_count, args.cap)
     g = build_family(spec)
@@ -116,14 +111,12 @@ def cmd_rank(args) -> int:
     print(f"search: nodes={stats.nodes_expanded} memo={stats.memo_entries} "
           f"time={stats.wall_time:.3f}s", file=sys.stderr)
     if args.json:
-        _emit(_json_text({"family": spec.to_json_dict(), "rank_number": value}),
-              args.out)
-    else:
-        _emit(f"rank number of {spec.describe()}: {value}\n", args.out)
-    return 0
+        return 0, {"family": spec.to_json_dict(), "rank_number": value}
+    return 0, [f"rank number of {spec.describe()}: {value}"]
 
 
-def _strict_paper_report(spec: FamilySpec, oracle: RankOracle) -> tuple[str, bool]:
+def _strict_paper_report(spec: FamilySpec,
+                         oracle: RankOracle) -> tuple[list[str], bool]:
     """Contrast the published readings with the construction and, within
     the cap, the exhaustive classification.  The audit fails when the
     literal reading misses addable edges: oracle-good ones within the cap,
@@ -142,11 +135,11 @@ def _strict_paper_report(spec: FamilySpec, oracle: RankOracle) -> tuple[str, boo
     dropped = sorted(printed.edge_set() - literal.edge_set())
     lines.append("")
     lines.append(f"edges dropped by the printed l > 0 bound ({len(dropped)}):")
-    lines.append("  " + " ".join(f"({u},{v})" for u, v in dropped))
+    lines.append("  " + _pairs(dropped))
     missed = sorted(corrected.edge_set() - printed.edge_set())
     lines.append(f"edges missed by the published clauses under either "
                  f"reading ({len(missed)}):")
-    lines.append("  " + " ".join(f"({u},{v})" for u, v in missed))
+    lines.append("  " + _pairs(missed))
     lines.append("")
     lines.append(f"level union stopping at level {k} as published: "
                  f"{len(readings['level_union'])} vs "
@@ -163,10 +156,10 @@ def _strict_paper_report(spec: FamilySpec, oracle: RankOracle) -> tuple[str, boo
             diff = sorted(good.edge_set() - es.edge_set())
             lines.append(f"  {name} clauses miss {len(diff)} oracle-good edges")
         match = good.edges == literal.edges
-    return "\n".join(lines) + "\n", match
+    return lines, match
 
 
-def cmd_good_edges(args) -> int:
+def cmd_good_edges(args) -> tuple[int, object]:
     spec = _spec_from_args(
         args, construction=args.strict_paper or args.mode != "oracle")
     oracle = RankOracle(cap=args.cap)
@@ -176,57 +169,45 @@ def cmd_good_edges(args) -> int:
         if args.mode != "construct":
             raise UsageError("--strict-paper prints its own report; "
                              f"drop --mode {args.mode}")
-        report, match = _strict_paper_report(spec, oracle)
-        _emit(report, args.out)
-        return 0 if match else 1
+        lines, match = _strict_paper_report(spec, oracle)
+        return 0 if match else 1, lines
     if args.mode == "construct":
         es = family_good_edges(spec)
         if args.json:
-            _emit(_json_text(es.to_json_dict()), args.out)
-        else:
-            body = " ".join(f"({u},{v})" for u, v in es)
-            _emit(f"{len(es)} edges for {spec.describe()}\n{body}\n", args.out)
-        return 0
+            return 0, es.to_json_dict()
+        return 0, [f"{len(es)} edges for {spec.describe()}", _pairs(es)]
     check_cap(spec.vertex_count, args.cap)
     if args.mode == "oracle":
         good, verdicts = oracle.good_edge_set(build_family(spec), spec)
         if args.json:
-            _emit(_json_text({"good": good.to_json_dict(),
-                              "verdicts": [v.to_json_dict() for v in verdicts]}),
-                  args.out)
-        else:
-            lines = [f"{len(good)} of {len(verdicts)} candidate edges are good"]
-            lines += [f"({v.edge[0]},{v.edge[1]}) {v.verdict} "
-                      f"{v.base_rank}->{v.augmented_rank}" for v in verdicts]
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0
+            return 0, {"good": good.to_json_dict(),
+                       "verdicts": [v.to_json_dict() for v in verdicts]}
+        return 0, [f"{len(good)} of {len(verdicts)} candidate edges are good",
+                   *(f"({v.edge[0]},{v.edge[1]}) {v.verdict} "
+                     f"{v.base_rank}->{v.augmented_rank}" for v in verdicts)]
     # compare
     diff = compare_constructive_oracle(spec, oracle)
+    code = 0 if diff["match"] else 1
     if args.json:
-        payload = {
+        return code, {
             "match": diff["match"],
             "constructed": diff["constructed"].to_json_dict(),
             "oracle": diff["oracle"].to_json_dict(),
             "constructed_only": [list(e) for e in diff["constructed_only"]],
             "oracle_only": [list(e) for e in diff["oracle_only"]],
         }
-        _emit(_json_text(payload), args.out)
+    lines = [f"constructed: {len(diff['constructed'])} edges; "
+             f"oracle: {len(diff['oracle'])} good edges"]
+    if diff["match"]:
+        lines.append("identical")
     else:
-        lines = [f"constructed: {len(diff['constructed'])} edges; "
-                 f"oracle: {len(diff['oracle'])} good edges"]
-        if diff["match"]:
-            lines.append("identical")
-        else:
-            lines.append("mismatch")
-            lines.append("constructed only: " + " ".join(
-                f"({u},{v})" for u, v in diff["constructed_only"]))
-            lines.append("oracle only: " + " ".join(
-                f"({u},{v})" for u, v in diff["oracle_only"]))
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if diff["match"] else 1
+        lines.append("mismatch")
+        lines.append("constructed only: " + _pairs(diff["constructed_only"]))
+        lines.append("oracle only: " + _pairs(diff["oracle_only"]))
+    return code, lines
 
 
-def cmd_mu(args) -> int:
+def cmd_mu(args) -> tuple[int, object]:
     spec = _spec_from_args(args, construction=True)
     value = mu_value(spec)
     rows = [("closed form", value)]
@@ -239,19 +220,15 @@ def cmd_mu(args) -> int:
         sim = oracle.verify_simultaneous(g, family_good_edges(spec).edges)
         rows.append(("constructed set simultaneous", int(sim.ok)))
     if args.json:
-        _emit(_json_text({"family": spec.to_json_dict(),
-                          "mu": value,
-                          **{k.replace(" ", "_"): v for k, v in rows[1:]}}),
-              args.out)
-    else:
-        width = max(len(name) for name, _ in rows)
-        lines = [f"{spec.describe()}"]
-        lines += [f"  {name.ljust(width)}  {val}" for name, val in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return 0, {"family": spec.to_json_dict(),
+                   "mu": value,
+                   **{k.replace(" ", "_"): v for k, v in rows[1:]}}
+    width = max(len(name) for name, _ in rows)
+    return 0, [f"{spec.describe()}",
+               *(f"  {name.ljust(width)}  {val}" for name, val in rows)]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, object]:
     if args.suite in ("paper-all", "path", "cycle") and args.max_k < 3:
         # paper-all would pass on its other suites' claims alone.
         raise UsageError(f"--max-k {args.max_k} checks no path or cycle "
@@ -262,32 +239,27 @@ def cmd_verify(args) -> int:
         raise UsageError(f"suite {args.suite!r} with --max-k {args.max_k} "
                          "checks no claims")
     ok = all(r.passed for r in results)
+    code = 0 if ok else 1
     if args.json:
-        _emit(_json_text({"suite": args.suite,
-                          "passed": ok,
-                          "claims": [r.to_json_dict() for r in results]}),
-              args.out)
-    else:
-        lines = []
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            lines.append(f"[{status}] {r.claim_id}: {r.description} ({r.detail})")
-        lines.append(f"{sum(r.passed for r in results)}/{len(results)} claims hold")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
+        return code, {"suite": args.suite,
+                      "passed": ok,
+                      "claims": [r.to_json_dict() for r in results]}
+    lines = []
+    for r in results:
+        status = "pass" if r.passed else "FAIL"
+        lines.append(f"[{status}] {r.claim_id}: {r.description} ({r.detail})")
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} claims hold")
+    return code, lines
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> tuple[int, object]:
     spec = _spec_from_args(args, construction=args.what == "good-edges")
     g = build_family(spec)
     r = family_ranking(spec)
     good = family_good_edges(spec) if args.what == "good-edges" else None
     if args.format == "dot":
-        text = graph_to_dot(g, ranking=r, extra_edges=good)
-    else:
-        text = _json_text(family_bundle(spec, g, r, good=good))
-    _emit(text, args.out)
-    return 0
+        return 0, graph_to_dot(g, ranking=r, extra_edges=good)
+    return 0, family_bundle(spec, g, r, good=good)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,25 +270,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "cliques.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, cap=True):
-        p.add_argument("--json", action="store_true", help="machine output")
+    def verb(name, func, help, family=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if family:
+            p.add_argument("family", help="graph family",
+                           choices=["path", "cycle", "multipartite", "joined"])
+            p.add_argument("-k", type=int, help="size exponent for path (2^k - 1 "
+                           "vertices) and cycle (2^k vertices)")
+            p.add_argument("--parts", type=int, nargs="+", metavar="M",
+                           help="multipartite part sizes")
+            p.add_argument("-n", type=int,
+                           help="clique size for the joined family")
+        return p
+
+    def common(p, json=True, cap=True):
+        if json:
+            p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument("--out", metavar="PATH", help="write to a file")
         if cap:
             p.add_argument("--cap", type=positive_int, default=DEFAULT_CAP,
                            help=f"exact-search order cap (default {DEFAULT_CAP})")
 
-    p = sub.add_parser("generate", help="emit a family graph and its ranking")
-    _family_arguments(p)
-    common(p, cap=False)
-    p.set_defaults(func=cmd_generate)
+    common(verb("generate", cmd_generate, "emit a family graph and its ranking"),
+           cap=False)
+    common(verb("rank", cmd_rank, "exact rank number of a family graph"))
 
-    p = sub.add_parser("rank", help="exact rank number of a family graph")
-    _family_arguments(p)
-    common(p)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("good-edges", help="constructed or classified edge sets")
-    _family_arguments(p)
+    p = verb("good-edges", cmd_good_edges, "constructed or classified edge sets")
     p.add_argument("--mode", choices=["construct", "oracle", "compare"],
                    default="construct")
     p.add_argument("--strict-paper", action="store_true",
@@ -324,16 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "(l > 0 interior runs, level union stopping at k) "
                         "against the corrected construction and the oracle")
     common(p)
-    p.set_defaults(func=cmd_good_edges)
 
-    p = sub.add_parser("mu", help="closed-form count of addable edges")
-    _family_arguments(p)
+    p = verb("mu", cmd_mu, "closed-form count of addable edges")
     p.add_argument("--oracle", action="store_true",
                    help="also report exhaustive per-edge counts")
     common(p)
-    p.set_defaults(func=cmd_mu)
 
-    p = sub.add_parser("verify", help="run a claim suite against the oracle")
+    p = verb("verify", cmd_verify, "run a claim suite against the oracle",
+             family=False)
     p.add_argument("--suite", choices=list(SUITES), default="paper-all")
     p.add_argument("--max-k", type=int, default=4,
                    help="largest k for the path, cycle and uniqueness "
@@ -341,27 +319,29 @@ def build_parser() -> argparse.ArgumentParser:
                         "claims at 4); the multipartite and joined suites "
                         "run fixed ranges")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("export", help="emit DOT or JSON for a family")
-    _family_arguments(p)
+    p = verb("export", cmd_export, "emit DOT or JSON for a family")
     p.add_argument("--what", choices=["graph", "good-edges"], default="graph")
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--out", metavar="PATH", help="write to a file")
-    p.set_defaults(func=cmd_export)
+    common(p, json=False, cap=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.out:
             _check_out(args.out)
-        return args.func(args)
+        code, answer = args.func(args)
+        _emit(answer, args.out)
+        return code
     except (UsageError, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error = str(exc)
+    except RecursionError:
+        error = (f"an exact search of order up to {args.cap} ran past the "
+                 "Python recursion limit; lower --cap")
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 def entrypoint() -> None:

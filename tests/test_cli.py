@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmax import RankOracle
-from rankmax.cli import main
+from rankmax.cli import entrypoint, main
 from helpers import rankmax_env
 
 
@@ -306,6 +306,43 @@ class TestOutCheckedFirst:
         out = tmp_path / "x"
         assert main(["generate", "path", "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestDeepSearch:
+    """A search deeper than the Python recursion limit either answers or
+    refuses with one `error:` line; it never ends in a traceback or in the
+    exit code of a claim mismatch."""
+
+    @pytest.mark.parametrize("argv, first_line_end", [
+        (["rank", "multipartite", "--parts", *["1"] * 300, "--cap", "300"],
+         ": 300"),
+        (["rank", "joined", "-n", "300", "--cap", "600"], ": 301"),
+        (["good-edges", "multipartite", "--parts", "2", *["1"] * 299,
+          "--mode", "oracle", "--cap", "400"],
+         "1 of 1 candidate edges are good"),
+    ], ids=["K_300", "joined K_300", "K_2,1x299 oracle"])
+    def test_answers_or_refuses(self, argv, first_line_end):
+        res = run_cli(*argv)
+        assert "Traceback" not in res.stderr
+        if res.returncode == 0:
+            assert res.stdout.splitlines()[0].endswith(first_line_end)
+        else:
+            assert_one_line_usage_error(res)
+
+
+class TestEntrypoint:
+    """The installed `rankmax` script exits with the code `main` returns."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--suite", "joined"], 0),
+        (["good-edges", "cycle", "-k", "4", "--mode", "compare"], 1),
+        (["rank", "path", "-k", "5"], 2),
+    ])
+    def test_exit_code(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["rankmax", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == code
 
 
 class TestExport:

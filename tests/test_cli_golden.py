@@ -61,5 +61,15 @@ def test_output_matches_the_recorded_digest(argv, recorded):
     assert run(argv) == recorded[" ".join(argv)]
 
 
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_out_file_holds_what_stdout_would(argv, recorded, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    expected = recorded[" ".join(argv)]
+    assert (code, digest) == (expected["exit"], expected["stdout_sha256"])
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps([run(argv) for argv in COMMANDS], indent=1) + "\n")
