@@ -4,8 +4,10 @@ The rank number of a connected graph equals one plus the minimum, over all
 vertices v, of the maximum rank number of the components left by deleting
 v; for a disconnected graph it is the maximum over components.  The search
 runs that recursion over connected-subset bitmasks with memoization,
-pruned by a certified lower bound (a path exhibited inside the component)
-and by twins (one refuted vertex refutes every vertex with the same
+pruned by a certified lower bound (a path exhibited inside the component),
+by domination (v is never tried on top when a neighbour's closed
+neighbourhood holds v's; of true twins only the least is tried) and by
+false twins (one refuted vertex refutes every vertex with the same open
 neighbourhood), and skipped entirely when the label budget covers every
 vertex.  A rank is searched downward from the order, after one try at the
 lower bound, so each component costs one refuting search, at its rank
@@ -235,18 +237,34 @@ class _Engine:
                        key=lambda v: (-(adj[v] & comp).bit_count(), v))
         refuted: set[int] = set()
         for v in order:
-            # A twin of a refuted vertex (same open neighbourhood in comp if
-            # non-adjacent, same closed one if adjacent) is refuted too:
-            # swapping the two is an automorphism of the component.
+            # A false twin of a refuted vertex (same open neighbourhood in
+            # comp) is refuted too: swapping the two is an automorphism.
             nbrs = adj[v] & comp
-            if nbrs in refuted or nbrs | (1 << v) in refuted:
+            if nbrs in refuted:
+                continue
+            # Domination: when a neighbour w has N[v] ⊆ N[w] in comp,
+            # swapping v and w turns a tree with v on top into one of the
+            # same height with w on top, so v is skipped.  Of true twins
+            # (equal closed neighbourhoods) only the least is tried.
+            bit = 1 << v
+            closed = nbrs | bit
+            ws = nbrs
+            while ws:
+                b = ws & -ws
+                wc = adj[b.bit_length() - 1] & comp | b
+                if closed & ~wc == 0 and (wc != closed or b < bit):
+                    break
+                ws ^= b
+            if ws:
                 continue
             self.nodes += 1
-            rest = comp & ~(1 << v)
-            if all(self.feasible_connected(c, budget - 1)
-                   for c in components_masks(adj, rest)):
+            # The largest component first: it is the likeliest to fail.
+            comps = components_masks(adj, comp ^ bit)
+            if len(comps) > 1:
+                comps.sort(key=int.bit_count, reverse=True)
+            if all(self.feasible_connected(c, budget - 1) for c in comps):
                 return True
-            refuted.update((nbrs, nbrs | (1 << v)))
+            refuted.add(nbrs)
         return False
 
     def rank(self, mask: int) -> int:

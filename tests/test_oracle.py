@@ -839,14 +839,22 @@ class TestDownwardRank:
     def test_a_tight_path_bound_costs_one_search(self):
         value, stats = RankOracle().rank_number(path_graph(15))
         assert value == 4
-        assert stats.nodes_expanded == 23
+        assert stats.nodes_expanded == 17
 
     def test_a_cycle_bound_is_tight(self):
         # The walk covers the cycle, so its bound is the rank and no
         # downward search runs.
         value, stats = RankOracle().rank_number(cycle_graph(16))
         assert value == 5
-        assert stats.nodes_expanded == 24
+        assert stats.nodes_expanded == 18
+
+    def test_a_long_path_refutes_its_largest_piece_first(self):
+        # Deleting a vertex off the middle of a path leaves a larger piece
+        # that fails the path bound at once, so the smaller piece is never
+        # searched.
+        value, stats = RankOracle(cap=600).rank_number(path_graph(511))
+        assert value == 9
+        assert stats.nodes_expanded <= 2_000
 
     # feasible_connected computes the path bound only at budgets below
     # size.bit_length(); that skips no prune while this holds.
@@ -858,6 +866,48 @@ class TestDownwardRank:
             eng = _Engine(g.adjacency)
             for comp in components_masks(g.adjacency, rng.getrandbits(g.n) << 1):
                 assert eng.lower_bound(comp) <= comp.bit_count().bit_length()
+
+
+class TestDomination:
+    """The search never puts v on top of a component when a neighbour w has
+    N[v] ⊆ N[w] there, strictly or with w < v.  These answers are checked
+    against searches that know nothing of domination."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_graphs_match_the_reference_recursion(self, oracle, seed):
+        rng = Random(2400 + seed)
+        for _ in range(25):
+            g = random_graph(rng, rng.randint(2, 11),
+                             rng.choice((0.3, 0.5, 0.7, 0.85)))
+            assert oracle.rank_number(g)[0] == reference_rank(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blow_ups_match_the_reference_recursion(self, oracle, seed):
+        rng = Random(2500 + seed)
+        for base in (None, path_graph(4), cycle_graph(4), complete_graph(4)) * 5:
+            g = blow_up(rng, base)
+            assert g.n <= 12
+            assert oracle.rank_number(g)[0] == reference_rank(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_six_vertex_graphs_match_brute_force(self, oracle, seed):
+        rng = Random(2600 + seed)
+        for p in (0.6, 0.8):
+            g = random_graph(rng, 6, p)
+            assert oracle.rank_number(g)[0] == brute_rank(g, by_is_valid_ranking)
+
+    def test_a_universal_vertex_alone_goes_on_top(self):
+        # A vertex joined to all of C12 dominates every other vertex.
+        wheel = Graph(13, [*cycle_graph(12).edges, *((v, 13) for v in range(1, 13))])
+        value, stats = RankOracle().rank_number(wheel)
+        assert value == 6
+        assert stats.nodes_expanded == 52
+
+    def test_ten_parts_of_two(self):
+        g = build_family(FamilySpec.multipartite(*[2] * 10))
+        value, stats = RankOracle().rank_number(g)
+        assert value == 19
+        assert stats.nodes_expanded == 10_068
 
 
 class TestEngineBound:
