@@ -98,9 +98,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return 0 < u <= self.n and 0 < v <= self.n and (self._adj[u] >> v) & 1 == 1
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits(self._adj[v]))
-
     # -- derived graphs ------------------------------------------------
 
     def add_edges(self, es: Iterable[tuple[int, int]]) -> "Graph":

@@ -209,6 +209,8 @@ class _Engine:
         return hit
 
     def feasible_connected(self, comp: int, budget: int) -> bool:
+        """True iff deleting some vertex of the connected `comp` leaves
+        components that each fit in `budget - 1` labels."""
         size = comp.bit_count()
         if budget >= size:
             return True
@@ -225,13 +227,8 @@ class _Engine:
                 return fits  # at most one endpoint: the same subgraph
         key = (comp, budget)
         hit = self.memo.get(key)
-        if hit is None:
-            hit = self.memo[key] = self._split(comp, budget)
-        return hit
-
-    def _split(self, comp: int, budget: int) -> bool:
-        """True iff deleting some vertex of the connected `comp` leaves
-        components that each fit in `budget - 1` labels."""
+        if hit is not None:
+            return hit
         adj = self.adj
         order = sorted(bits(comp),
                        key=lambda v: (-(adj[v] & comp).bit_count(), v))
@@ -262,9 +259,15 @@ class _Engine:
             comps = components_masks(adj, comp ^ bit)
             if len(comps) > 1:
                 comps.sort(key=int.bit_count, reverse=True)
-            if all(self.feasible_connected(c, budget - 1) for c in comps):
+            # A loop, not all(...): one frame per level of the search.
+            for c in comps:
+                if not self.feasible_connected(c, budget - 1):
+                    break
+            else:
+                self.memo[key] = True
                 return True
             refuted.add(nbrs)
+        self.memo[key] = False
         return False
 
     def rank(self, mask: int) -> int:

@@ -184,7 +184,7 @@ def _every_path_has_larger(g: Graph, u: int, v: int, labels: dict[int, int]) -> 
     stack = [(u, frozenset([u]), False)]
     while stack:
         x, visited, has_larger = stack.pop()
-        for y in g.neighbors(x):
+        for y in bits(g.adjacency[x]):
             if y == v:
                 if not has_larger:
                     return False
@@ -209,7 +209,7 @@ def reference_rank(g: Graph) -> int:
     set S has rank 1 + min over v in S of the largest rank among the
     components of S - v.  Frozensets and dict BFS; no bitmasks, lower
     bound or twin pruning."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    adj = {v: set(bits(g.adjacency[v])) for v in g.vertices()}
     memo: dict[frozenset[int], int] = {}
 
     def components(subset: frozenset[int]) -> list[frozenset[int]]:
@@ -245,11 +245,11 @@ def greedy_path_all_starts(g: Graph) -> int:
         seen = {start}
         v = start
         while True:
-            options = [u for u in g.neighbors(v) if u not in seen]
+            options = [u for u in bits(g.adjacency[v]) if u not in seen]
             if not options:
                 break
             v = min(options, key=lambda u: (
-                sum(w not in seen for w in g.neighbors(u)), u))
+                sum(w not in seen for w in bits(g.adjacency[u])), u))
             seen.add(v)
         best = max(best, len(seen))
     return best

@@ -319,7 +319,7 @@ class TestDeepSearch:
         (["rank", "joined", "-n", "300", "--cap", "600"], ": 301"),
         (["good-edges", "multipartite", "--parts", "2", *["1"] * 299,
           "--mode", "oracle", "--cap", "400"],
-         "1 of 1 candidate edges are good"),
+         "0 of 1 candidate edges are good"),
     ], ids=["K_300", "joined K_300", "K_2,1x299 oracle"])
     def test_answers_or_refuses(self, argv, first_line_end):
         res = run_cli(*argv)
@@ -328,6 +328,11 @@ class TestDeepSearch:
             assert res.stdout.splitlines()[0].endswith(first_line_end)
         else:
             assert_one_line_usage_error(res)
+
+    def test_refuses_past_the_recursion_limit(self):
+        # K_1100 needs a search about 1,100 levels deep, one frame each.
+        assert_one_line_usage_error(run_cli(
+            "rank", "multipartite", "--parts", *["1"] * 1100, "--cap", "1100"))
 
 
 class TestEntrypoint:

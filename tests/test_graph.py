@@ -52,7 +52,7 @@ class TestConstruction:
         g = Graph(5, [(1, 2), (2, 4), (3, 5)])
         for u, v in g.edges:
             assert g.has_edge(u, v) and g.has_edge(v, u)
-            assert v in g.neighbors(u) and u in g.neighbors(v)
+            assert v in bits(g.adjacency[u]) and u in bits(g.adjacency[v])
 
     def test_pairs_outside_the_vertices_are_not_edges(self):
         g = cycle_graph(3)

@@ -267,18 +267,22 @@ class TestGoodEdgeSet:
 
 
 def overlay_searches(g):
-    """The verdicts of `good_edge_set` on g and the overlays it searched."""
-    calls = []
+    """The verdicts of `good_edge_set` on g, the overlays it searched and
+    the nodes expanded over the host's engine and every overlay."""
+    overlays = []
     with_edges = _Engine.with_edges
 
     def counted(self, pairs):
-        calls.append(pairs)
-        return with_edges(self, pairs)
+        overlays.append(with_edges(self, pairs))
+        return overlays[-1]
 
+    oracle = RankOracle()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Engine, "with_edges", counted)
-        _, verdicts = RankOracle().good_edge_set(g)
-    return verdicts, len(calls)
+        _, verdicts = oracle.good_edge_set(g)
+    # A complete host has no non-edge, and no engine is made for it.
+    engines = [e for e in (oracle._host, *overlays) if e is not None]
+    return verdicts, len(overlays), sum(e.nodes for e in engines)
 
 
 def per_edge_verdicts(g):
@@ -324,20 +328,24 @@ class TestTwinOrbits:
         (cycle_graph(16), 7),
     ], ids=["joined6", "K432", "C8", "P15", "C16"])
     def test_one_overlay_search_per_orbit(self, g, overlays):
-        verdicts, searched = overlay_searches(g)
+        verdicts, searched, _ = overlay_searches(g)
         assert searched == overlays
         assert len(verdicts) == len(g.non_edges())
 
-    @pytest.mark.parametrize("hosts,overlays", [
-        ([path_graph(7), path_graph(15), cycle_graph(8), cycle_graph(16)], 68),
+    @pytest.mark.parametrize("hosts,overlays,nodes", [
+        ([path_graph(7), path_graph(15), cycle_graph(8), cycle_graph(16)],
+         68, 1045),
         ([build_family(FamilySpec.joined(n)) for n in range(2, 7)]
          + [build_family(FamilySpec.multipartite(*p))
-            for p in multipartite_profiles(9)], 122),
+            for p in multipartite_profiles(9)], 122, 1992),
     ], ids=["classify_sparse", "classify_dense"])
-    def test_overlay_searches_of_one_benchmark_pass(self, hosts, overlays):
+    def test_overlay_searches_of_one_benchmark_pass(self, hosts, overlays, nodes):
         # The hosts of one pass of the benchmark's classify workloads: an
-        # automorphism the generator search misses shows up as a larger count.
-        assert sum(overlay_searches(g)[1] for g in hosts) == overlays
+        # automorphism the generator search misses shows up as a larger
+        # overlay count, and a search that loses pruning as more nodes.
+        counts = [overlay_searches(g)[1:] for g in hosts]
+        assert sum(c[0] for c in counts) == overlays
+        assert sum(c[1] for c in counts) == nodes
 
     def test_orbits_equal_the_automorphism_group_orbits(self):
         graphs = ([g for n in range(2, 6) for g in all_graphs(n)]
@@ -360,7 +368,7 @@ class TestTwinOrbits:
         assert not _orbits.is_automorphism(
             [0] * g.n, [(1, False)] * g.n, [0] * g.n)  # not a permutation
         monkeypatch.setattr(_orbits, "is_automorphism", lambda *args: False)
-        verdicts, searched = overlay_searches(g)
+        verdicts, searched, _ = overlay_searches(g)
         assert searched == len(g.non_edges())
         assert verdicts == per_edge_verdicts(g)
 
@@ -370,9 +378,9 @@ class TestTwinOrbits:
         build_family(FamilySpec.joined(6)),
     ], ids=["P15", "C16", "petersen", "K2222", "joined6"])
     def test_an_exhausted_step_budget_only_costs_searches(self, monkeypatch, g):
-        verdicts, searched = overlay_searches(g)
+        verdicts, searched, _ = overlay_searches(g)
         monkeypatch.setattr(_orbits, "_STEPS", 0)
-        starved, starved_searches = overlay_searches(g)
+        starved, starved_searches, _ = overlay_searches(g)
         assert starved == verdicts
         assert starved_searches >= searched
 
@@ -723,6 +731,13 @@ class TestSearchHygiene:
 
     def test_cap_is_configurable(self):
         assert RankOracle(cap=32).rank_number(cycle_graph(32))[0] == 6
+
+    def test_deep_dense_searches_answer(self):
+        # A clique's search goes about one level per vertex, one frame per
+        # level, so these stay under Python's default recursion limit.
+        oracle = RankOracle(cap=600)
+        assert oracle.rank_number(complete_graph(600))[0] == 600
+        assert oracle.rank_number(build_family(FamilySpec.joined(300)))[0] == 301
 
     def test_overlay_verdicts_match_fresh_searches(self):
         # classify_edge searches an overlay that shares the host engine's
