@@ -13,15 +13,15 @@ quotient's group an image of every other under an automorphism of the graph.
 
 Generators of the quotient's group come from a plain backtracking search.
 Each quotient vertex is coloured by its colour and its degree, and the
-vertices are ordered breadth-first.  For each vertex b of that order, last
-first, the search fixes every vertex before b and tries to map b onto each
-vertex of its colour not already in its orbit, extending the map along the
-order: each vertex goes to an unused vertex of its colour whose adjacency
-to every vertex mapped so far matches its own.  Every complete map is
-checked edge by edge and colour by colour before it becomes a generator,
-and the search stops after a fixed number of candidates.  A generator it
-misses only splits an orbit, which costs one more search by the caller,
-never a wrong answer.
+vertices are ordered breadth-first, starting in the smallest colour cell.
+For each vertex b of that order, last first, the search fixes every vertex
+before b and tries to map b onto each vertex of its colour not already in
+its orbit, extending the map along the order: each vertex goes to an unused
+vertex of its colour whose adjacency to every vertex mapped so far matches
+its own.  Every complete map is checked edge by edge and colour by colour
+before it becomes a generator, and the search stops after a fixed number of
+candidates.  A generator it misses only splits an orbit, which costs one
+more search by the caller, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -61,9 +61,11 @@ def generators(qadj: list[int], colours: list) -> list[list[int]]:
     for v, c in enumerate(colour):
         cells[c] = cells.get(c, 0) | 1 << v
     cell = [cells[c] for c in colour]
-    order: list[int] = []  # breadth-first, each component from its least vertex
+    # Breadth-first, from a vertex of the smallest cell, so the order does
+    # not depend on how the graph's vertices are numbered.
+    order: list[int] = []
     seen = i = 0
-    for s in range(m):
+    for s in sorted(range(m), key=lambda v: cell[v].bit_count()):
         if not seen >> s & 1:
             seen |= 1 << s
             order.append(s)

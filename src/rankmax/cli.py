@@ -4,8 +4,9 @@ Verbs: generate, rank, good-edges, mu, verify, export.  Every invocation is
 deterministic: identical arguments produce byte-identical output.  Exit
 codes: 0 success / claims hold, 1 claim mismatch, 2 usage or cap errors.
 
-Each `cmd_*` verb returns its exit code and its answer: a JSON object, the
-lines to print, or finished text.  Only `main` renders the answer, writes it
+Each `cmd_*` verb returns its exit code and its answer: finished text, the
+lines to print, or the objects it computed, which are written as JSON
+through their `to_json_dict()`.  Only `main` renders the answer, writes it
 to stdout or `--out`, and turns a refusal into one `error:` line and exit 2.
 """
 
@@ -16,11 +17,11 @@ import json
 import os
 import sys
 
-from .construct import (all_levels_good_edges, family_good_edges, mu_value,
-                        published_readings)
-from .export import family_bundle, graph_to_dot
+from .construct import (EdgeSet, all_levels_good_edges, family_good_edges,
+                        mu_value, published_readings)
+from .graph import Graph
 from .oracle import DEFAULT_CAP, CapExceeded, RankOracle, check_cap
-from .ranking import FamilySpec, build_family, family_ranking
+from .ranking import FamilySpec, Ranking, build_family, family_ranking
 from .verify import SUITES, compare_constructive_oracle, run_suite
 
 
@@ -71,12 +72,14 @@ def _check_out(out_path: str) -> None:
         os.remove(out_path)
 
 
-def _emit(answer: str | list[str] | dict, out_path: str | None) -> None:
-    """Write text as it is, a list one item per line, a dict as JSON."""
+def _emit(answer: object, out_path: str | None) -> None:
+    """Write text as it is, a list one item per line, anything else as
+    JSON, with each object written through its `to_json_dict()`."""
     if isinstance(answer, list):
         answer = "\n".join(answer) + "\n"
     elif not isinstance(answer, str):
-        answer = json.dumps(answer, indent=2) + "\n"
+        answer = json.dumps(answer, indent=2,
+                            default=lambda obj: obj.to_json_dict()) + "\n"
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -91,12 +94,31 @@ def _pairs(edges) -> str:
     return " ".join(f"({u},{v})" for u, v in edges)
 
 
+def _graph_to_dot(g: Graph, ranking: Ranking, extra: EdgeSet | None) -> str:
+    """DOT text with ranking values as node labels; extra edges are drawn
+    dashed so added edges stand apart from the host graph."""
+    lines = ["graph G {", "  node [shape=circle]"]
+    lines += [f'  v{v} [label="{ranking.label(v)}"]' for v in g.vertices()]
+    lines += [f"  v{u} -- v{v}" for u, v in g.edges]
+    lines += [f"  v{u} -- v{v} [style=dashed]" for u, v in extra or ()]
+    return "\n".join([*lines, "}"]) + "\n"
+
+
+def _family_bundle(spec: FamilySpec, g: Graph, ranking: Ranking,
+                   good: EdgeSet | None = None) -> dict:
+    """The JSON answer of `generate` and `export --format json`."""
+    bundle = {"family": spec, "graph": g, "ranking": ranking}
+    if good is not None:
+        bundle["good_edges"] = good
+    return bundle
+
+
 def cmd_generate(args) -> tuple[int, object]:
     spec = _spec_from_args(args)
     g = build_family(spec)
     r = family_ranking(spec)
     if args.json:
-        return 0, family_bundle(spec, g, r)
+        return 0, _family_bundle(spec, g, r)
     return 0, [spec.describe(),
                f"vertices: {g.n}  edges: {g.edge_count}",
                "ranking:  " + " ".join(str(x) for x in r.labels)]
@@ -111,7 +133,7 @@ def cmd_rank(args) -> tuple[int, object]:
     print(f"search: nodes={stats.nodes_expanded} memo={stats.memo_entries} "
           f"time={stats.wall_time:.3f}s", file=sys.stderr)
     if args.json:
-        return 0, {"family": spec.to_json_dict(), "rank_number": value}
+        return 0, {"family": spec, "rank_number": value}
     return 0, [f"rank number of {spec.describe()}: {value}"]
 
 
@@ -174,14 +196,13 @@ def cmd_good_edges(args) -> tuple[int, object]:
     if args.mode == "construct":
         es = family_good_edges(spec)
         if args.json:
-            return 0, es.to_json_dict()
+            return 0, es
         return 0, [f"{len(es)} edges for {spec.describe()}", _pairs(es)]
     check_cap(spec.vertex_count, args.cap)
     if args.mode == "oracle":
         good, verdicts = oracle.good_edge_set(build_family(spec), spec)
         if args.json:
-            return 0, {"good": good.to_json_dict(),
-                       "verdicts": [v.to_json_dict() for v in verdicts]}
+            return 0, {"good": good, "verdicts": verdicts}
         return 0, [f"{len(good)} of {len(verdicts)} candidate edges are good",
                    *(f"({v.edge[0]},{v.edge[1]}) {v.verdict} "
                      f"{v.base_rank}->{v.augmented_rank}" for v in verdicts)]
@@ -189,13 +210,8 @@ def cmd_good_edges(args) -> tuple[int, object]:
     diff = compare_constructive_oracle(spec, oracle)
     code = 0 if diff["match"] else 1
     if args.json:
-        return code, {
-            "match": diff["match"],
-            "constructed": diff["constructed"].to_json_dict(),
-            "oracle": diff["oracle"].to_json_dict(),
-            "constructed_only": [list(e) for e in diff["constructed_only"]],
-            "oracle_only": [list(e) for e in diff["oracle_only"]],
-        }
+        return code, {key: diff[key] for key in (
+            "match", "constructed", "oracle", "constructed_only", "oracle_only")}
     lines = [f"constructed: {len(diff['constructed'])} edges; "
              f"oracle: {len(diff['oracle'])} good edges"]
     if diff["match"]:
@@ -220,7 +236,7 @@ def cmd_mu(args) -> tuple[int, object]:
         sim = oracle.verify_simultaneous(g, family_good_edges(spec).edges)
         rows.append(("constructed set simultaneous", int(sim.ok)))
     if args.json:
-        return 0, {"family": spec.to_json_dict(),
+        return 0, {"family": spec,
                    "mu": value,
                    **{k.replace(" ", "_"): v for k, v in rows[1:]}}
     width = max(len(name) for name, _ in rows)
@@ -243,7 +259,7 @@ def cmd_verify(args) -> tuple[int, object]:
     if args.json:
         return code, {"suite": args.suite,
                       "passed": ok,
-                      "claims": [r.to_json_dict() for r in results]}
+                      "claims": results}
     lines = []
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -258,8 +274,8 @@ def cmd_export(args) -> tuple[int, object]:
     r = family_ranking(spec)
     good = family_good_edges(spec) if args.what == "good-edges" else None
     if args.format == "dot":
-        return 0, graph_to_dot(g, ranking=r, extra_edges=good)
-    return 0, family_bundle(spec, g, r, good=good)
+        return 0, _graph_to_dot(g, r, good)
+    return 0, _family_bundle(spec, g, r, good)
 
 
 def build_parser() -> argparse.ArgumentParser:

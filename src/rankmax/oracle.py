@@ -108,7 +108,7 @@ def _walk(adj: tuple[int, ...], mask: int, start: int) -> int:
     length = 1
     while options := adj[v] & left:
         if options & (options - 1):
-            v = min(bits(options), key=lambda u: ((adj[u] & left).bit_count(), u))
+            v = min(bits(options), key=lambda u: (adj[u] & left).bit_count())
         else:
             v = options.bit_length() - 1
         left ^= 1 << v
@@ -124,7 +124,7 @@ def longest_path_length(g: Graph) -> int:
     adj = g.adjacency
     mask = g.members
     best = 1
-    for start in sorted(bits(mask), key=lambda v: (adj[v].bit_count(), v)):
+    for start in sorted(bits(mask), key=lambda v: adj[v].bit_count()):
         if best == g.n:
             break
         best = max(best, _walk(adj, mask, start))
@@ -190,7 +190,7 @@ class _Engine:
         lb = self.lb_cache.get(comp)
         if lb is None:
             adj = self.adj
-            start = min(bits(comp), key=lambda v: ((adj[v] & comp).bit_count(), v))
+            start = min(bits(comp), key=lambda v: (adj[v] & comp).bit_count())
             lb = self.lb_cache[comp] = _walk(adj, comp, start).bit_length()
         return lb
 
@@ -230,8 +230,8 @@ class _Engine:
         if hit is not None:
             return hit
         adj = self.adj
-        order = sorted(bits(comp),
-                       key=lambda v: (-(adj[v] & comp).bit_count(), v))
+        order = sorted(bits(comp), key=lambda v: (adj[v] & comp).bit_count(),
+                       reverse=True)
         refuted: set[int] = set()
         for v in order:
             # A false twin of a refuted vertex (same open neighbourhood in

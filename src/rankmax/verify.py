@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from .construct import (all_levels_good_edges, cycle_good_edges,
                         family_good_edges, joined_good_edges, mu_cycle,
-                        mu_multipartite, mu_path, mu_path_recurrence,
-                        multipartite_forbidden_edges, multipartite_good_edges,
-                        path_good_edges)
+                        mu_joined, mu_multipartite, mu_path,
+                        mu_path_recurrence, multipartite_forbidden_edges,
+                        multipartite_good_edges, path_good_edges)
 from .oracle import RankOracle
 from .ranking import (FamilySpec, build_family, family_ranking,
                       family_rank_value, is_valid_ranking,
@@ -189,7 +189,7 @@ def run_joined_suite(oracle: RankOracle) -> list[ClaimResult]:
                f"rank {base}")
         _claim(res, f"joined-count-n{n}",
                "constructed set has 2(n-1) edges",
-               len(good) == 2 * (n - 1), f"{len(good)} edges")
+               len(good) == mu_joined(n), f"{len(good)} edges")
         sim = oracle.verify_simultaneous(g, good.edges)
         _claim(res, f"joined-simultaneous-n{n}",
                "adding the whole constructed set preserves the rank number",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rankmax import RankOracle
 from rankmax.cli import entrypoint, main
 from helpers import rankmax_env
+from test_cli_golden import run as run_golden
 
 
 def run_cli(*args):
@@ -389,6 +390,39 @@ class TestExport:
                       "--out", str(out))
         assert res.returncode == 0
         assert out.read_text().startswith("graph G {")
+
+
+PINNED_OUTPUT = {
+    "generate path -k 3 --json":
+        (0, "dfe52c781acf2690ab0e50901c3b61d76215812550f97a71ee7eb9adb8e1aaeb"),
+    "rank cycle -k 3 --json":
+        (0, "a2ba21b864552068d86c94840c94939bd3cd4ed4e56991da6997fbb3b4e0884e"),
+    "rank multipartite --parts 3 2 --json":
+        (0, "110954500480551ba8421e6f129bcdfd5a8fb4120e6660040ba73ebb63ea48c2"),
+    "good-edges path -k 4 --json":
+        (0, "bdc5b47210265abaf5aad90b4c1270bb97ed96167586fa5ca5c2e58f13686365"),
+    "good-edges joined -n 3 --mode compare --json":
+        (1, "8ae42646255c827574209692ae10a938754c918a1def566932b15e760c5d8eda"),
+    "mu path -k 4 --json":
+        (0, "016bea60f2792699e1684c1a64f2f6a67b2886e0f95c8b93dfd64fa90e3f0e30"),
+    "mu joined -n 3 --oracle --json":
+        (0, "c77ee7745d65a490963a4a5c4cc2fabb5d8bd09e69d7e27b863aa9e89ab468ba"),
+    "verify --suite joined --json":
+        (0, "3cdf6bd85f44a1070ce567ff68b08126eda404f62d327c10e34ada7860e4d762"),
+    "export path -k 4 --what good-edges --format json":
+        (0, "bd9eaeb27db5cc1a269d09f44c50e941494aee23a315bd92cde2be3b598d6756"),
+    "export joined -n 3 --format json":
+        (0, "dbc115d4014ae29c75e3c3270113818865e1a564cb593315d1fd6009e5b069e8"),
+    "export multipartite --parts 3 2 --what good-edges --format dot":
+        (0, "80aa816585b366086e0dd152da350a80f2126c7e745efe9ccb311f6eb08d801e"),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_OUTPUT)
+def test_json_and_dot_output_is_pinned(command):
+    # The JSON and DOT forms that golden_cli.json does not cover.
+    result = run_golden(command.split())
+    assert (result["exit"], result["stdout_sha256"]) == PINNED_OUTPUT[command]
 
 
 FAMILY_ARGV = st.one_of(
