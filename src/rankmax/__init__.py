@@ -12,9 +12,7 @@ from .graph import Graph, bits, components_masks, edge
 from .oracle import (CapExceeded, EdgeVerdict, RankOracle, SearchStats,
                      SimultaneousCheck, longest_path_length)
 from .ranking import (FamilySpec, Ranking, build_family, family_rank_value,
-                      family_ranking, is_valid_ranking, joined_cliques_ranking,
-                      multipartite_ranking, position_label,
-                      standard_cycle_ranking, standard_path_ranking,
+                      family_ranking, is_valid_ranking, position_label,
                       trailing_zeros)
 
 __version__ = "0.1.0"

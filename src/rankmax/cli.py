@@ -44,6 +44,15 @@ def _spec_from_args(args: argparse.Namespace,
         except ValueError as exc:
             raise UsageError(f"no good-edge construction for the "
                              f"{spec.describe()}: {exc}") from exc
+    try:  # Python refuses to print ints past its digit limit
+        str(spec.vertex_count), spec.describe()
+        if construction:
+            str(mu_value(spec))
+    except ValueError as exc:
+        (_, kind), (name, value) = spec.to_json_dict().items()
+        raise UsageError(f"the {kind} family with {name}={value} is too large "
+                         f"to print: its numbers pass Python's limit of "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
     return spec
 
 

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .graph import Graph, bits, edge
 from .ranking import (FamilySpec, Ranking, _level_walk, build_family,
-                      part_ranges, standard_path_ranking, trailing_zeros)
+                      family_ranking, part_ranges, trailing_zeros)
 
 @dataclass(frozen=True)
 class EdgeSet:
@@ -161,7 +161,8 @@ def closure_edges(g: Graph, ranking: Ranking, below: int | None = None) -> EdgeS
 def all_levels_good_edges(k: int) -> EdgeSet:
     """The closure of the standard path ranking: a cross-check that builds
     `path_good_edges` from the ranking."""
-    return closure_edges(build_family(FamilySpec.path(k)), standard_path_ranking(k))
+    spec = FamilySpec.path(k)
+    return closure_edges(build_family(spec), family_ranking(spec))
 
 
 def _with_hub_chords(path_part: EdgeSet, k: int) -> EdgeSet:
@@ -257,8 +258,9 @@ def published_readings(spec: FamilySpec) -> dict[str, EdgeSet]:
     if spec.kind not in ("path", "cycle"):
         raise ValueError("the published procedure covers paths and cycles")
     k = spec.k
+    path = FamilySpec.path(k)
     readings = {"level_union": closure_edges(
-        build_family(FamilySpec.path(k)), standard_path_ranking(k), below=k)}
+        build_family(path), family_ranking(path), below=k)}
     for name, l_min in (("printed", 0), ("literal", 1)):
         tagged = {edge(m, n): f"clause:{clause}"
                   for m in range(1, 2 ** k)

@@ -1,11 +1,12 @@
 """Simple undirected graphs on the vertices 1..n, with bitmask vertex sets.
 
-A graph stores one thing, the neighbour bitmask of each vertex; its edges
-and non-edges are read from those masks, in sorted order.  Vertex subsets
-are plain ints too: bit v set means vertex v is in the set (bit 0 is never
-used).  That keeps subsets hashable and cheap, which the exhaustive search
-relies on; Python ints are unbounded, so the graph order is not limited by
-a machine word.
+A graph stores one thing, the neighbour bitmask of each vertex in
+`adjacency`; its edges and non-edges are read from those masks, in sorted
+order.  Vertex subsets are plain ints too: bit v set means vertex v is in
+the set (bit 0 is never used).  That keeps subsets hashable and cheap,
+which the exhaustive search relies on; Python ints are unbounded, so the
+graph order is not limited by a machine word.  `components_masks` splits a
+subset into the connected components it induces.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ def components_masks(adj: tuple[int, ...], mask: int) -> list[int]:
 class Graph:
     """Immutable simple undirected graph on the vertices 1..n.
 
-    The neighbour bitmasks in `adjacency` are its one stored form: `edges`
-    and `non_edges()` are read from them, in sorted order.  `members` is
-    the bitmask of 1..n.  Vertex subsets, such as the components of an
-    induced subgraph, are bitmasks passed to `connected_components`, not
-    graphs of their own.
+    `adjacency[v]` is the neighbour bitmask of vertex v (`adjacency[0]` is
+    0), the graph's one stored form: `edges` and `non_edges()` are read
+    from it, in sorted order.  `members` is the bitmask of 1..n.  Vertex
+    subsets, such as the components of an induced subgraph, are bitmasks,
+    split by `components_masks(g.adjacency, mask)`, not graphs of their
+    own.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -72,31 +74,27 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) outside 1..{n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self._adj = tuple(adj)
+        self.adjacency = tuple(adj)
 
     # -- basic views ---------------------------------------------------
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge as (u, v) with u < v, sorted."""
-        adj = self._adj
+        adj = self.adjacency
         return tuple((u, v) for u in range(1, self.n)
                      for v in bits(adj[u] >> (u + 1) << (u + 1)))
-
-    @property
-    def adjacency(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks, indexed by vertex id."""
-        return self._adj
 
     def vertices(self) -> list[int]:
         return list(range(1, self.n + 1))
 
     @property
     def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self._adj) // 2
+        return sum(a.bit_count() for a in self.adjacency) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 < u <= self.n and 0 < v <= self.n and (self._adj[u] >> v) & 1 == 1
+        return (0 < u <= self.n and 0 < v <= self.n
+                and (self.adjacency[u] >> v) & 1 == 1)
 
     # -- derived graphs ------------------------------------------------
 
@@ -107,15 +105,9 @@ class Graph:
 
     def non_edges(self) -> list[tuple[int, int]]:
         """All vertex pairs of the graph that are not edges, sorted."""
-        adj, members = self._adj, self.members
+        adj, members = self.adjacency, self.members
         return [(u, v) for u in range(1, self.n)
                 for v in bits(members >> (u + 1) << (u + 1) & ~adj[u])]
-
-    def connected_components(self, s: int | None = None) -> list[int]:
-        """Component bitmasks of the subgraph induced by the vertex mask `s`
-        (default: the whole graph), ordered by smallest vertex."""
-        smask = self.members if s is None else s & self.members
-        return components_masks(self._adj, smask)
 
     # -- serialization and identity -------------------------------------
 
@@ -124,11 +116,11 @@ class Graph:
 
     def __eq__(self, other):
         if isinstance(other, Graph):
-            return self._adj == other._adj
+            return self.adjacency == other.adjacency
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._adj)
+        return hash(self.adjacency)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"

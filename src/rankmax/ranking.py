@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, components_masks
 
 
 def trailing_zeros(m: int) -> int:
@@ -168,52 +168,24 @@ def build_family(spec: FamilySpec) -> Graph:
     return Graph(2 * n, es)
 
 
-def standard_path_ranking(k: int) -> Ranking:
-    """The unique optimal ranking of the path on 2^k - 1 vertices."""
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    n = 2 ** k - 1
-    return Ranking(tuple(position_label(i) for i in range(1, n + 1)))
-
-
-def standard_cycle_ranking(k: int) -> Ranking:
-    """Optimal ranking of the cycle on 2^k vertices: the standard path
-    ranking on the first 2^k - 1 vertices, with the last vertex on top."""
-    if k < 2:
-        raise ValueError("k >= 2 required")
-    n = 2 ** k
-    return Ranking(tuple(position_label(i) for i in range(1, n)) + (k + 1,))
-
-
-def multipartite_ranking(spec: FamilySpec) -> Ranking:
-    """Optimal ranking of a complete multipartite graph: the first largest
-    part all labeled 1, every other vertex a distinct label 2, 3, ..."""
-    if spec.kind != "multipartite":
-        raise ValueError("multipartite spec required")
-    labels = [1] * spec.parts[0]
-    nxt = 2
-    for m in spec.parts[1:]:
-        labels.extend(range(nxt, nxt + m))
-        nxt += m
-    return Ranking(tuple(labels))
-
-
-def joined_cliques_ranking(n: int) -> Ranking:
-    """Optimal ranking of two joined n-cliques: both cliques labeled 1..n in
-    vertex order, except the second clique's join endpoint gets n + 1."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    return Ranking(tuple(range(1, n + 1)) + tuple(range(1, n)) + (n + 1,))
-
-
 def family_ranking(spec: FamilySpec) -> Ranking:
-    if spec.kind == "path":
-        return standard_path_ranking(spec.k)
-    if spec.kind == "cycle":
-        return standard_cycle_ranking(spec.k)
+    """The explicit optimal ranking of a family graph.
+
+    Path on 2^k - 1 vertices: the unique one, `position_label(m)` on vertex
+    m.  Cycle on 2^k vertices: that path ranking on the first 2^k - 1
+    vertices, with the last vertex on top.  Complete multipartite: the
+    first largest part all labelled 1, every other vertex a distinct label
+    2, 3, ...  Joined cliques: both cliques labelled 1..n in vertex order,
+    except the second clique's join endpoint gets n + 1.
+    """
+    if spec.kind in ("path", "cycle"):
+        labels = tuple(position_label(m) for m in range(1, 2 ** spec.k))
+        return Ranking(labels if spec.kind == "path" else labels + (spec.k + 1,))
     if spec.kind == "multipartite":
-        return multipartite_ranking(spec)
-    return joined_cliques_ranking(spec.n)
+        rest = sum(spec.parts[1:])
+        return Ranking((1,) * spec.parts[0] + tuple(range(2, rest + 2)))
+    n = spec.n
+    return Ranking(tuple(range(1, n + 1)) + tuple(range(1, n)) + (n + 1,))
 
 
 def family_rank_value(spec: FamilySpec) -> int:
@@ -246,7 +218,7 @@ def _level_walk(g: Graph, r: Ranking):
     level = 0
     for c in sorted(at_label):
         level |= at_label[c]
-        for comp in g.connected_components(level):
+        for comp in components_masks(g.adjacency, level):
             if comp & at_label[c]:
                 yield comp, comp & at_label[c]
 

@@ -16,8 +16,7 @@ from .construct import (all_levels_good_edges, cycle_good_edges,
                         multipartite_good_edges, path_good_edges)
 from .oracle import RankOracle
 from .ranking import (FamilySpec, build_family, family_ranking,
-                      family_rank_value, is_valid_ranking,
-                      standard_path_ranking)
+                      family_rank_value, is_valid_ranking)
 
 SUITES = ("paper-all", "path", "cycle", "multipartite", "joined", "uniqueness")
 
@@ -64,6 +63,7 @@ def multipartite_profiles(max_total: int) -> list[tuple[int, ...]]:
 def run_path_suite(max_k: int, oracle: RankOracle) -> list[ClaimResult]:
     res: list[ClaimResult] = []
     for k in range(3, max_k + 1):
+        spec = FamilySpec.path(k)
         hp = path_good_edges(k)
         levels = all_levels_good_edges(k)
         peak = 2 ** k - 1
@@ -76,8 +76,8 @@ def run_path_suite(max_k: int, oracle: RankOracle) -> list[ClaimResult]:
                "level-by-level union equals the center-block construction",
                levels.edges == hp.edges,
                f"{len(hp)} edges")
-        g = build_family(FamilySpec.path(k))
-        r = standard_path_ranking(k)
+        g = build_family(spec)
+        r = family_ranking(spec)
         _claim(res, f"path-ranking-k{k}",
                "standard ranking is valid and uses exactly k labels",
                is_valid_ranking(g, r) and r.max_label == k,
@@ -87,7 +87,7 @@ def run_path_suite(max_k: int, oracle: RankOracle) -> list[ClaimResult]:
                "adding the whole constructed set preserves the rank number",
                sim.ok, f"{sim.mode}: {sim.detail}")
         if peak <= oracle.cap:
-            good, verdicts = oracle.good_edge_set(g, FamilySpec.path(k))
+            good, verdicts = oracle.good_edge_set(g, spec)
             _claim(res, f"path-per-edge-k{k}",
                    "exhaustive classification finds exactly the constructed "
                    "set good and everything else forbidden",
@@ -210,7 +210,7 @@ def run_uniqueness_suite(oracle: RankOracle, max_k: int = 4) -> list[ClaimResult
         spec = FamilySpec.path(k)
         g = build_family(spec)
         found = oracle.enumerate_optimal_rankings(g)
-        std = standard_path_ranking(k)
+        std = family_ranking(spec)
         _claim(res, f"unique-path-k{k}",
                f"the {spec.vertex_count}-vertex path has exactly one optimal "
                "ranking, the standard one",

@@ -12,7 +12,7 @@ import os
 from pathlib import Path
 from random import Random
 
-from rankmax import EdgeSet, Graph, Ranking, bits, edge
+from rankmax import EdgeSet, Graph, Ranking, bits, components_masks, edge
 
 
 def mask_of(vertices) -> int:
@@ -102,7 +102,7 @@ def closure_by_peel(g: Graph, ranking: Ranking, below: int | None = None) -> Edg
     if len(ranking.labels) < g.n:
         raise ValueError("ranking does not label every vertex of the graph")
     tagged: dict[tuple[int, int], str] = {}
-    comps = g.connected_components()
+    comps = components_masks(g.adjacency, g.members)
     while comps:
         comp = comps.pop()
         top = max(bits(comp), key=ranking.label)
@@ -113,7 +113,7 @@ def closure_by_peel(g: Graph, ranking: Ranking, below: int | None = None) -> Edg
         if below is None or label < below:
             tagged.update((edge(top, w), f"top:{top}")
                           for w in bits(rest & ~g.adjacency[top]))
-        comps.extend(g.connected_components(rest))
+        comps.extend(components_masks(g.adjacency, rest))
     es = sorted(tagged)
     return EdgeSet(None, tuple(es), tuple(tagged[e] for e in es))
 

@@ -29,8 +29,7 @@ from rankmax import (FamilySpec, RankOracle, all_levels_good_edges,
                      is_valid_ranking, joined_good_edges, mu_cycle, mu_joined,
                      mu_multipartite, mu_path, mu_path_recurrence,
                      multipartite_forbidden_edges, multipartite_good_edges,
-                     path_good_edges, standard_cycle_ranking,
-                     standard_path_ranking)
+                     path_good_edges)
 from rankmax.verify import multipartite_profiles
 from helpers import rankmax_env
 
@@ -201,7 +200,7 @@ def test_criterion4_rank_numbers_and_uniqueness():
     for k in (3, 4):
         g = build_family(FamilySpec.path(k))
         found = oracle.enumerate_optimal_rankings(g)
-        assert found == [standard_path_ranking(k)]
+        assert found == [family_ranking(FamilySpec.path(k))]
     elapsed = report(4, "ranks 3/4/4/5, unique path rankings", t0)
     assert elapsed < 60
 
@@ -339,11 +338,11 @@ def test_criterion9_certificate_mode_at_scale():
     assert len(hp5) == 68 and len(hc5) == 97
     p31 = build_family(FamilySpec.path(5))
     check = oracle.verify_simultaneous(p31, hp5.edges,
-                                       witness=standard_path_ranking(5))
+                                       witness=family_ranking(FamilySpec.path(5)))
     assert check.ok and check.mode == "certificate"
     c32 = build_family(FamilySpec.cycle(5))
     check = oracle.verify_simultaneous(c32, hc5.edges,
-                                       witness=standard_cycle_ranking(5))
+                                       witness=family_ranking(FamilySpec.cycle(5)))
     assert check.ok and check.mode == "certificate"
     elapsed = report(9, "certificates hold for 31/32 vertices", t0)
     assert elapsed < 1

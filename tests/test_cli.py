@@ -84,6 +84,45 @@ class TestFamilyArguments:
         assert res.stdout == ""
 
 
+class TestFamilyTooLargeToPrint:
+    # Python refuses to print an int of more than 4300 digits by default:
+    # 2^k - 1 and 2^k pass it at k = 14284, the mu count (k - 3) * 2^k + 4 a
+    # little earlier.  The limit is pinned, since without it `generate`
+    # would start building a graph of 2^k vertices.
+    @staticmethod
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "rankmax", *argv],
+                              capture_output=True, text=True,
+                              env=dict(rankmax_env(), PYTHONINTMAXSTRDIGITS="4300"))
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "path", "-k", "20000"],
+        ["good-edges", "path", "-k", "15000", "--mode", "oracle"],
+        ["mu", "cycle", "-k", "15000", "--oracle"],
+        ["mu", "path", "-k", "20000", "--json"],
+        ["mu", "path", "-k", "14280"],
+        ["mu", "cycle", "-k", "14284", "--json"],
+        ["generate", "path", "-k", "20000"],
+    ], ids=" ".join)
+    def test_is_usage_error(self, argv):
+        res = self.run(*argv)
+        assert_one_line_usage_error(res)
+        assert "too large to print" in res.stderr
+        assert res.stdout == ""
+
+    def test_order_past_the_limit_is_usage_error(self):
+        # n has 4300 digits and prints; the order 2n checked against the cap
+        # has 4301.
+        res = self.run("rank", "joined", "-n", "5" * 4300)
+        assert_one_line_usage_error(res)
+        assert "too large to print" in res.stderr
+
+    def test_mu_below_the_limit_prints(self):
+        res = self.run("mu", "path", "-k", "14000")
+        assert res.returncode == 0
+        assert res.stdout.split()[-1] == str(13997 * 2 ** 14000 + 4)
+
+
 class TestRank:
     def test_joined_five(self):
         res = run_cli("rank", "joined", "-n", "5")

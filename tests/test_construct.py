@@ -4,12 +4,11 @@ import pytest
 
 from rankmax import (FamilySpec, Ranking, all_levels_good_edges, build_family,
                      bits, closure_edges, cycle_good_edges, family_good_edges,
-                     family_ranking, flip_bit, is_valid_ranking,
-                     joined_cliques_ranking, joined_good_edges,
-                     mu_cycle, mu_joined, mu_multipartite, mu_path,
-                     mu_path_recurrence, multipartite_forbidden_edges,
-                     multipartite_good_edges, next_center, path_good_edges,
-                     standard_path_ranking)
+                     components_masks, family_ranking, flip_bit,
+                     is_valid_ranking, joined_good_edges, mu_cycle, mu_joined,
+                     mu_multipartite, mu_path, mu_path_recurrence,
+                     multipartite_forbidden_edges, multipartite_good_edges,
+                     next_center, path_good_edges)
 from rankmax.construct import published_readings
 from helpers import (ancestor_pairs, closure_by_peel, mask_of, path_graph,
                      random_graph)
@@ -32,7 +31,7 @@ def targets(es, m: int) -> set[int]:
 def path_stars(k: int, label: int) -> list[tuple[int, int]]:
     """Closure edges of the standard path ranking whose top (the endpoint
     with the larger label) is labelled `label`."""
-    r = standard_path_ranking(k)
+    r = family_ranking(FamilySpec.path(k))
     return [e for e in closure_edges(build_family(FamilySpec.path(k)), r)
             if r.label(max(e, key=r.label)) == label]
 
@@ -139,7 +138,7 @@ class TestLabelSets:
     """Which vertices of P_15 top a closure star, by the `below` cut-off."""
 
     def test_top_of_fifteen(self):
-        g, r = path_graph(15), standard_path_ranking(4)
+        g, r = path_graph(15), family_ranking(FamilySpec.path(4))
         full = closure_edges(g, r).edge_set()
         below_top = closure_edges(g, r, below=4).edge_set()
         assert below_top <= full
@@ -147,11 +146,11 @@ class TestLabelSets:
 
     def test_level_one_is_everything(self):
         # every vertex is labelled 1 or more, so no top adds a star
-        assert len(closure_edges(path_graph(15), standard_path_ranking(4),
-                                 below=1)) == 0
+        r = family_ranking(FamilySpec.path(4))
+        assert len(closure_edges(path_graph(15), r, below=1)) == 0
 
     def test_level_three(self):
-        r = standard_path_ranking(4)
+        r = family_ranking(FamilySpec.path(4))
         closure = closure_edges(path_graph(15), r)
         assert {max(e, key=r.label) for e in closure} == {4, 8, 12}
         assert len(closure_edges(path_graph(15), r, below=3)) == 0
@@ -161,16 +160,17 @@ class TestNonNeighborEdges:
     """Star sizes of the closure of the standard ranking on P_3, P_7, P_15."""
 
     def test_center_of_fifteen(self):
-        es = closure_edges(path_graph(15), standard_path_ranking(4))
+        es = closure_edges(path_graph(15), family_ranking(FamilySpec.path(4)))
         assert sum(1 for e in es if 8 in e) == 15 - 3
 
     def test_center_of_seven(self):
-        es = closure_edges(path_graph(7), standard_path_ranking(3))
+        es = closure_edges(path_graph(7), family_ranking(FamilySpec.path(3)))
         assert es.edges == HP3
         assert all(4 in e for e in es)
 
     def test_tiny_path_has_none(self):
-        assert len(closure_edges(path_graph(3), standard_path_ranking(2))) == 0
+        r = family_ranking(FamilySpec.path(2))
+        assert len(closure_edges(path_graph(3), r)) == 0
 
 
 class TestLevelGoodEdges:
@@ -214,10 +214,10 @@ class TestLevelGoodEdges:
     @pytest.mark.parametrize("k", range(4, 7))
     def test_removing_a_level_leaves_uniform_path_components(self, k):
         g = build_family(FamilySpec.path(k))
-        r = standard_path_ranking(k)
+        r = family_ranking(FamilySpec.path(k))
         for j in range(4, k + 1):
             rest = g.members & ~mask_of(v for v in g.vertices() if r.label(v) >= j)
-            comps = g.connected_components(rest)
+            comps = components_masks(g.adjacency, rest)
             assert len(comps) == 2 ** (k - j + 1)
             for comp in comps:
                 vs = list(bits(comp))
@@ -323,11 +323,11 @@ def elimination_ranking(rng: Random, g) -> Ranking:
     def eliminate(comp: int) -> int:
         top = rng.choice(list(bits(comp)))
         labels[top] = 1 + max((eliminate(c) for c in
-                               g.connected_components(comp & ~(1 << top))),
+                               components_masks(g.adjacency, comp & ~(1 << top))),
                               default=0)
         return labels[top]
 
-    for comp in g.connected_components():
+    for comp in components_masks(g.adjacency, g.members):
         eliminate(comp)
     return Ranking(tuple(labels[v] for v in g.vertices()))
 
@@ -349,7 +349,7 @@ class TestClosureEdges:
         # the two cliques are separate components, both already complete,
         # so its closure is only the star of v_top
         g = build_family(FamilySpec.joined(n))
-        closure = closure_edges(g, joined_cliques_ranking(n))
+        closure = closure_edges(g, family_ranking(FamilySpec.joined(n)))
         assert closure.edges == tuple((i, 2 * n) for i in range(2, n + 1))
         assert closure.edge_set() <= joined_good_edges(n).edge_set()
 

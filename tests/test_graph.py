@@ -2,15 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmax import (Graph, RankOracle, bits, cycle_good_edges,
-                     path_good_edges, standard_cycle_ranking)
+from rankmax import (FamilySpec, Graph, RankOracle, bits, components_masks,
+                     cycle_good_edges, family_ranking, path_good_edges)
 from helpers import bfs_components_reference, cycle_graph, mask_of, path_graph
 
 from rankmax.graph import edge
 
 
-def comps_as_sets(g, subset=None):
-    return [set(bits(m)) for m in g.connected_components(subset)]
+def comps_as_sets(g, subset):
+    return [set(bits(m)) for m in components_masks(g.adjacency, subset)]
 
 
 class TestConstruction:
@@ -32,7 +32,8 @@ class TestConstruction:
         assert cycle.n == 64 and cycle.has_edge(1, 64)
         assert path_graph(127).edge_count == 126
         check = RankOracle().verify_simultaneous(
-            cycle, cycle_good_edges(6).edges, witness=standard_cycle_ranking(6))
+            cycle, cycle_good_edges(6).edges,
+            witness=family_ranking(FamilySpec.cycle(6)))
         assert check.ok and check.mode == "certificate"
         assert check.base_rank == check.union_rank == 7
 
@@ -67,7 +68,7 @@ class TestComponents:
         assert comps_as_sets(g, subset) == [set(range(1, 8)), set(range(9, 16))]
 
     def test_empty_subset(self):
-        assert path_graph(7).connected_components(0) == []
+        assert components_masks(path_graph(7).adjacency, 0) == []
 
     def test_path_minus_three_cuts(self):
         g = path_graph(15)
@@ -137,7 +138,7 @@ class TestProperties:
     @given(graphs(), st.integers(0, 2 ** 8 - 1))
     def test_components_partition_subset(self, g, raw):
         subset = mask_of(v for v in g.vertices() if (raw >> v) & 1)
-        comps = g.connected_components(subset)
+        comps = components_masks(g.adjacency, subset)
         union = 0
         for c in comps:
             assert union & c == 0
@@ -148,7 +149,7 @@ class TestProperties:
     @given(graphs(), st.integers(0, 2 ** 8 - 1))
     def test_no_edges_between_components(self, g, raw):
         subset = mask_of(v for v in g.vertices() if (raw >> v) & 1)
-        comps = g.connected_components(subset)
+        comps = components_masks(g.adjacency, subset)
         for i, a in enumerate(comps):
             for b in comps[i + 1:]:
                 for u in bits(a):
@@ -189,5 +190,5 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(graphs())
     def test_component_induction_is_idempotent(self, g):
-        for comp in g.connected_components():
-            assert g.connected_components(comp) == [comp]
+        for comp in components_masks(g.adjacency, g.members):
+            assert components_masks(g.adjacency, comp) == [comp]

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from rankmax import (CapExceeded, FamilySpec, Graph, RankOracle, Ranking,
                      bits, build_family, components_masks, cycle_good_edges,
                      family_good_edges, family_ranking, is_valid_ranking,
-                     longest_path_length, path_good_edges,
-                     standard_cycle_ranking, standard_path_ranking)
+                     longest_path_length, path_good_edges)
 from rankmax import _orbits
 from rankmax.oracle import _Engine
 from rankmax.verify import multipartite_profiles, run_uniqueness_suite
@@ -414,7 +413,7 @@ class TestEnumerateOptimalRankings:
         # an isolated vertex or a small component the unused top label.
         split = [g for g in (random_graph(Random(s), 5 + s % 2, 0.4)
                              for s in range(300, 400))
-                 if len(g.connected_components()) >= 2][:40]
+                 if len(components_masks(g.adjacency, g.members)) >= 2][:40]
         assert len(split) == 40
         for g in [g for n in range(1, 5) for g in all_graphs(n)] + split:
             found = oracle.enumerate_optimal_rankings(g)
@@ -422,7 +421,7 @@ class TestEnumerateOptimalRankings:
 
     def test_seven_path_unique(self, oracle):
         found = oracle.enumerate_optimal_rankings(path_graph(7))
-        assert found == [standard_path_ranking(3)]
+        assert found == [family_ranking(FamilySpec.path(3))]
 
     def test_three_path_unique(self, oracle):
         assert oracle.enumerate_optimal_rankings(path_graph(3)) == [
@@ -436,7 +435,7 @@ class TestEnumerateOptimalRankings:
         assert len(found) == 8
         tops = [r.labels.index(4) + 1 for r in found]
         assert sorted(tops) == list(range(1, 9))
-        assert standard_cycle_ranking(3) in found
+        assert family_ranking(FamilySpec.cycle(3)) in found
 
     def test_results_are_valid_distinct_and_sorted(self, oracle):
         found = oracle.enumerate_optimal_rankings(cycle_graph(8))
@@ -554,7 +553,7 @@ class TestVerifySimultaneous:
     def test_certificate_for_thirty_one_path(self, oracle):
         check = oracle.verify_simultaneous(
             path_graph(31), path_good_edges(5).edges,
-            witness=standard_path_ranking(5))
+            witness=family_ranking(FamilySpec.path(5)))
         assert check.ok and check.mode == "certificate"
         assert check.detail == (
             "witness ranking valid on the union with 5 labels; host rank >= 5 "
@@ -563,7 +562,7 @@ class TestVerifySimultaneous:
     def test_certificate_for_thirty_two_cycle(self, oracle):
         check = oracle.verify_simultaneous(
             cycle_graph(32), cycle_good_edges(5).edges,
-            witness=standard_cycle_ranking(5))
+            witness=family_ranking(FamilySpec.cycle(5)))
         assert check.ok and check.mode == "certificate"
 
     def test_certificate_requires_witness(self, oracle):

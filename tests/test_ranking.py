@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from rankmax import (FamilySpec, Graph, Ranking, build_family,
                      family_rank_value, family_ranking, is_valid_ranking,
-                     joined_cliques_ranking, multipartite_ranking, next_center,
-                     path_good_edges, position_label, standard_cycle_ranking,
-                     standard_path_ranking)
+                     next_center, path_good_edges, position_label)
 from helpers import all_graphs, path_graph, valid_by_path_definition
 
 
@@ -21,36 +19,55 @@ class TestPositionLabel:
 
     def test_composite_position(self):
         assert position_label(12) == 3
-        assert position_label(12) == standard_path_ranking(4).label(12)
+        assert position_label(12) == family_ranking(FamilySpec.path(4)).label(12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             position_label(0)
 
 
-class TestStandardPathRanking:
-    def test_seven_vertices(self):
-        assert standard_path_ranking(3).labels == (1, 2, 1, 3, 1, 2, 1)
+class TestFamilyRanking:
+    @pytest.mark.parametrize("spec, labels", [
+        (FamilySpec.path(1), (1,)),
+        (FamilySpec.path(3), (1, 2, 1, 3, 1, 2, 1)),
+        (FamilySpec.cycle(2), (1, 2, 1, 3)),
+        (FamilySpec.cycle(3), (1, 2, 1, 3, 1, 2, 1, 4)),
+        (FamilySpec.multipartite(1, 1), (1, 2)),
+        (FamilySpec.multipartite(2, 2), (1, 1, 2, 3)),
+        (FamilySpec.multipartite(3, 2), (1, 1, 1, 2, 3)),
+        (FamilySpec.joined(2), (1, 2, 1, 3)),
+    ])
+    def test_pinned_labels(self, spec, labels):
+        assert family_ranking(spec).labels == labels
 
-    def test_single_vertex(self):
-        assert standard_path_ranking(1).labels == (1,)
+    def test_spot_labels(self):
+        path = family_ranking(FamilySpec.path(4))
+        assert (path.label(8), path.label(12)) == (4, 3)
+        assert family_ranking(FamilySpec.cycle(4)).label(16) == 5
+        assert family_ranking(FamilySpec.joined(3)).max_label == 4
 
-    def test_fifteen_vertices_spot_values(self):
-        r = standard_path_ranking(4)
-        assert r.label(8) == 4
-        assert r.label(12) == 3
+    def test_multipartite_labels_the_largest_part_1(self):
+        spec = FamilySpec.multipartite(2, 5, 3)
+        assert spec.parts == (5, 3, 2)
+        assert family_ranking(spec).labels == (1, 1, 1, 1, 1, 2, 3, 4, 5, 6)
+
+    @pytest.mark.parametrize("spec", [FamilySpec.path(k) for k in range(1, 9)]
+                             + [FamilySpec.cycle(k) for k in range(2, 6)]
+                             + [FamilySpec.multipartite(*p) for p in (
+                                 (1, 1), (2, 2), (3, 2), (5, 3, 2))]
+                             + [FamilySpec.joined(n) for n in range(2, 6)],
+                             ids=FamilySpec.describe)
+    def test_valid_with_rank_number_labels(self, spec):
+        r = family_ranking(spec)
+        assert len(r.labels) == spec.vertex_count
+        assert r.max_label == family_rank_value(spec)
+        assert is_valid_ranking(build_family(spec), r)
 
     @pytest.mark.parametrize("k", range(1, 9))
-    def test_palindromic_and_exactly_k_labels(self, k):
-        r = standard_path_ranking(k)
+    def test_path_palindromic_with_every_label_up_to_k(self, k):
+        r = family_ranking(FamilySpec.path(k))
         assert r.labels == r.labels[::-1]
-        assert r.max_label == k
         assert set(r.labels) == set(range(1, k + 1))
-
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_valid(self, k):
-        assert is_valid_ranking(build_family(FamilySpec.path(k)),
-                                standard_path_ranking(k))
 
 
 class TestValidityChecker:
@@ -62,7 +79,7 @@ class TestValidityChecker:
 
     def test_standard_ranking_survives_full_addition(self):
         g = path_graph(15).add_edges(path_good_edges(4).edges)
-        assert is_valid_ranking(g, standard_path_ranking(4))
+        assert is_valid_ranking(g, family_ranking(FamilySpec.path(4)))
 
     def test_missing_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -104,63 +121,6 @@ class TestLabelOrderingBelowCenters:
                     assert position_label(j) < position_label(w)
 
 
-class TestCycleRanking:
-    def test_eight_vertices(self):
-        assert standard_cycle_ranking(3).labels == (1, 2, 1, 3, 1, 2, 1, 4)
-
-    def test_four_vertices(self):
-        assert standard_cycle_ranking(2).labels == (1, 2, 1, 3)
-
-    def test_sixteen_vertices_top(self):
-        assert standard_cycle_ranking(4).label(16) == 5
-
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_valid_with_k_plus_one_labels(self, k):
-        r = standard_cycle_ranking(k)
-        assert r.max_label == k + 1
-        assert is_valid_ranking(build_family(FamilySpec.cycle(k)), r)
-
-    def test_rejects_k1(self):
-        with pytest.raises(ValueError):
-            standard_cycle_ranking(1)
-
-
-class TestMultipartiteRanking:
-    def test_three_two(self):
-        spec = FamilySpec.multipartite(3, 2)
-        r = multipartite_ranking(spec)
-        assert r.labels == (1, 1, 1, 2, 3)
-        assert r.max_label == 3
-        assert is_valid_ranking(build_family(spec), r)
-
-    def test_two_two(self):
-        assert multipartite_ranking(FamilySpec.multipartite(2, 2)).labels == (1, 1, 2, 3)
-
-    def test_single_vertices(self):
-        assert multipartite_ranking(FamilySpec.multipartite(1, 1)).labels == (1, 2)
-
-    def test_parts_normalized_descending(self):
-        spec = FamilySpec.multipartite(2, 5, 3)
-        assert spec.parts == (5, 3, 2)
-        r = multipartite_ranking(spec)
-        assert r.labels[:5] == (1, 1, 1, 1, 1)
-
-
-class TestJoinedRanking:
-    def test_n2(self):
-        assert joined_cliques_ranking(2).labels == (1, 2, 1, 3)
-
-    def test_n3_max_label(self):
-        assert joined_cliques_ranking(3).max_label == 4
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_valid(self, n):
-        spec = FamilySpec.joined(n)
-        r = joined_cliques_ranking(n)
-        assert is_valid_ranking(build_family(spec), r)
-        assert r.max_label == n + 1 == family_rank_value(spec)
-
-
 class TestBuildFamily:
     def test_path_counts(self):
         g = build_family(FamilySpec.path(3))
@@ -182,15 +142,12 @@ class TestBuildFamily:
         assert g.edge_count == 6
         assert not g.has_edge(1, 2) and g.has_edge(1, 4)
 
-    def test_family_ranking_dispatch(self):
-        for spec in (FamilySpec.path(3), FamilySpec.cycle(3),
-                     FamilySpec.multipartite(3, 2), FamilySpec.joined(3)):
-            r = family_ranking(spec)
-            assert is_valid_ranking(build_family(spec), r)
-            assert r.max_label == family_rank_value(spec)
-
 
 class TestFamilySpecValidation:
+    def test_path_needs_k_at_least_1(self):
+        with pytest.raises(ValueError):
+            FamilySpec.path(0)
+
     def test_cycle_needs_k_at_least_2(self):
         with pytest.raises(ValueError):
             FamilySpec.cycle(1)
