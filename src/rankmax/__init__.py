@@ -3,11 +3,8 @@ additions for paths, cycles, complete multipartite graphs, and joined
 cliques."""
 
 from .construct import (EdgeSet, all_levels_good_edges, closure_edges,
-                        cycle_good_edges, family_good_edges, flip_bit,
-                        joined_good_edges, mu_cycle, mu_joined,
-                        mu_multipartite, mu_path, mu_path_recurrence, mu_value,
-                        multipartite_forbidden_edges, multipartite_good_edges,
-                        next_center, path_good_edges)
+                        family_good_edges, flip_bit, mu_path_recurrence,
+                        mu_value, multipartite_forbidden_edges, next_center)
 from .graph import Graph, bits, components_masks, edge
 from .oracle import (CapExceeded, EdgeVerdict, RankOracle, SearchStats,
                      SimultaneousCheck, longest_path_length)

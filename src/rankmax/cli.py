@@ -166,11 +166,13 @@ def _strict_paper_report(spec: FamilySpec,
     dropped = sorted(printed.edge_set() - literal.edge_set())
     lines.append("")
     lines.append(f"edges dropped by the printed l > 0 bound ({len(dropped)}):")
-    lines.append("  " + _pairs(dropped))
+    if dropped:
+        lines.append("  " + _pairs(dropped))
     missed = sorted(corrected.edge_set() - printed.edge_set())
     lines.append(f"edges missed by the published clauses under either "
                  f"reading ({len(missed)}):")
-    lines.append("  " + _pairs(missed))
+    if missed:
+        lines.append("  " + _pairs(missed))
     lines.append("")
     lines.append(f"level union stopping at level {k} as published: "
                  f"{len(readings['level_union'])} vs "

@@ -10,11 +10,12 @@ Those blocks are the closure of the standard ranking's elimination forest:
 `closure_edges` walks the levels of any valid ranking on any graph and
 joins each level component's top-labelled vertex to the rest of it.
 
-`family_good_edges` is the source of truth: one constructed set per family.
-`all_levels_good_edges` (the closure of the standard path ranking) is a
-cross-check that must agree with it.  `published_readings` is an audit:
-the published procedure read verbatim, which misses addable edges (see the
-CLI's --strict-paper mode).
+`family_good_edges(spec)` is the one construction entry and the source of
+truth: one constructed set per family.  `mu_value(spec)` is the one count
+entry, the size of that set in closed form.  `all_levels_good_edges` (the
+closure of the standard path ranking) is a cross-check that must agree
+with it.  `published_readings` is an audit: the published procedure read
+verbatim, which misses addable edges (see the CLI's --strict-paper mode).
 """
 
 from __future__ import annotations
@@ -119,25 +120,6 @@ def _printed_targets(m: int, k: int, l_min: int) -> dict[int, str]:
     return {n: c for n, c in res.items() if m + 2 <= n <= peak}
 
 
-def path_good_edges(k: int) -> EdgeSet:
-    """Addable-edge set for the path on 2^k - 1 vertices.
-
-    The construction walks the centers and emits each center's block; its
-    size is (k-3)*2^k + 4.
-    """
-    if k < 3:
-        raise ValueError("k >= 3 required")
-    peak = 2 ** k - 1
-    tagged: dict[tuple[int, int], str] = {}
-    for c in range(4, peak + 1, 4):
-        r = c & -c
-        for x in range(max(1, c - r + 1), min(peak, c + r - 1) + 1):
-            if abs(x - c) >= 2:
-                side = "L" if x < c else "R"
-                tagged[edge(x, c)] = f"block:{c}{side}"
-    return _make_edge_set(FamilySpec.path(k), tagged)
-
-
 def closure_edges(g: Graph, ranking: Ranking, below: int | None = None) -> EdgeSet:
     """Edges that the closure of the ranking's elimination forest adds to g.
 
@@ -160,7 +142,7 @@ def closure_edges(g: Graph, ranking: Ranking, below: int | None = None) -> EdgeS
 
 def all_levels_good_edges(k: int) -> EdgeSet:
     """The closure of the standard path ranking: a cross-check that builds
-    `path_good_edges` from the ranking."""
+    `family_good_edges(FamilySpec.path(k))` from the ranking."""
     spec = FamilySpec.path(k)
     return closure_edges(build_family(spec), family_ranking(spec))
 
@@ -173,75 +155,75 @@ def _with_hub_chords(path_part: EdgeSet, k: int) -> EdgeSet:
     return _make_edge_set(FamilySpec.cycle(k), tagged)
 
 
-def cycle_good_edges(k: int) -> EdgeSet:
-    """Good-edge set for the cycle on 2^k vertices: the path construction
-    plus every chord from the top vertex 2^k except to its two neighbors.
-    Size (k-2)*2^k + 1.
-
-    These are exactly the chords that keep `family_ranking` (the standard
-    cycle ranking) valid, so all of them can be added at once.  The
-    per-edge good set is larger: every single chord keeps the rank number,
-    because the top label can move onto one of its endpoints."""
-    return _with_hub_chords(path_good_edges(k), k)
-
-
-def multipartite_good_edges(spec: FamilySpec) -> EdgeSet:
-    """Intra-part pairs of every part after the designated largest one.
-
-    These are exactly the non-edges that keep `family_ranking` valid, so
-    all of them can be added at once.  With a unique largest part they are
-    also the per-edge good set; with a tied largest part every non-edge is
-    individually good, because the all-ones block can move to the other
-    largest part."""
-    tagged = {}
-    for i, rng in enumerate(part_ranges(spec)):
-        if i == 0:
-            continue
-        for u, v in combinations(rng, 2):
-            tagged[edge(u, v)] = f"part{i + 1}"
-    return _make_edge_set(spec, tagged)
-
-
 def multipartite_forbidden_edges(spec: FamilySpec) -> EdgeSet:
     """Intra-part pairs of the designated largest part: the non-edges that
     break `family_ranking`, and each raises the rank number once
-    `multipartite_good_edges` has been added.  On its own such a pair is
+    `family_good_edges(spec)` has been added.  On its own such a pair is
     forbidden only when the largest part is unique."""
     rng = part_ranges(spec)[0]
     tagged = {edge(u, v): "part1" for u, v in combinations(rng, 2)}
     return _make_edge_set(spec, tagged)
 
 
-def joined_good_edges(n: int) -> EdgeSet:
-    """Good edges of two joined n-cliques: the top-labeled vertex of each
-    clique joined to every vertex of the other clique, minus the existing
-    join edge.  Size 2(n-1).
-
-    These are exactly the cross pairs that keep `family_ranking` valid, so
-    all of them can be added at once.  The per-edge good set is larger:
-    every single cross pair keeps the rank number, because a fresh top
-    label fits on its endpoint."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    tagged: dict[tuple[int, int], str] = {}
-    w_top, v_top = n, 2 * n
-    for i in range(1, n + 1):
-        tagged[edge(w_top, n + i)] = "top-w"
-    for i in range(2, n + 1):
-        e = edge(v_top, i)
-        tagged[e] = "top-w,top-v" if e in tagged else "top-v"
-    return _make_edge_set(FamilySpec.joined(n), tagged)
+def _check_covered(spec: FamilySpec) -> None:
+    """Refuse the paths and cycles below k = 3, which no construction
+    covers; `FamilySpec` already refuses the other families' small sizes."""
+    if spec.kind in ("path", "cycle") and spec.k < 3:
+        raise ValueError("k >= 3 required")
 
 
 def family_good_edges(spec: FamilySpec) -> EdgeSet:
-    """The constructed good-edge set of the family: the source of truth."""
-    if spec.kind == "path":
-        return path_good_edges(spec.k)
-    if spec.kind == "cycle":
-        return cycle_good_edges(spec.k)
+    """The constructed good-edge set of the family: the source of truth.
+
+    Each set is exactly the non-edges that keep `family_ranking` valid, so
+    all of them can be added at once; `mu_value(spec)` is its size.
+
+    - Path on 2^k - 1 vertices: walk the centers and emit each center's
+      block.  This is also the per-edge good set.
+    - Cycle on 2^k vertices: the path construction plus every chord from
+      the top vertex 2^k except to its two neighbors.  The per-edge good
+      set is larger: every single chord keeps the rank number, because the
+      top label can move onto one of its endpoints.
+    - Complete multipartite: the intra-part pairs of every part after the
+      designated largest one.  With a unique largest part they are also
+      the per-edge good set; with a tied largest part every non-edge is
+      individually good, because the all-ones block can move to the other
+      largest part.
+    - Two joined n-cliques: the top-labeled vertex of each clique joined to
+      every vertex of the other clique, minus the existing join edge.  The
+      per-edge good set is larger: every single cross pair keeps the rank
+      number, because a fresh top label fits on its endpoint.
+
+    Paths and cycles below k = 3 have no construction: ValueError.
+    """
+    _check_covered(spec)
+    tagged: dict[tuple[int, int], str] = {}
+    if spec.kind in ("path", "cycle"):
+        k = spec.k
+        peak = 2 ** k - 1
+        for c in range(4, peak + 1, 4):
+            r = c & -c
+            for x in range(max(1, c - r + 1), min(peak, c + r - 1) + 1):
+                if abs(x - c) >= 2:
+                    side = "L" if x < c else "R"
+                    tagged[edge(x, c)] = f"block:{c}{side}"
+        path_part = _make_edge_set(FamilySpec.path(k), tagged)
+        if spec.kind == "cycle":
+            return _with_hub_chords(path_part, k)
+        return path_part
     if spec.kind == "multipartite":
-        return multipartite_good_edges(spec)
-    return joined_good_edges(spec.n)
+        for i, rng in enumerate(part_ranges(spec)[1:], start=2):
+            tagged.update((edge(u, v), f"part{i}")
+                          for u, v in combinations(rng, 2))
+    else:
+        n = spec.n
+        w_top, v_top = n, 2 * n
+        for i in range(1, n + 1):
+            tagged[edge(w_top, n + i)] = "top-w"
+        for i in range(2, n + 1):
+            e = edge(v_top, i)
+            tagged[e] = "top-w,top-v" if e in tagged else "top-v"
+    return _make_edge_set(spec, tagged)
 
 
 def published_readings(spec: FamilySpec) -> dict[str, EdgeSet]:
@@ -273,16 +255,8 @@ def published_readings(spec: FamilySpec) -> dict[str, EdgeSet]:
 
 # -- closed-form counts -------------------------------------------------
 
-def mu_path(k: int) -> int:
-    """(k-3)*2^k + 4 edges for the path on 2^k - 1 vertices: the size of
-    `path_good_edges`, which is also the per-edge good set."""
-    if k < 3:
-        raise ValueError("k >= 3 required")
-    return (k - 3) * 2 ** k + 4
-
-
 def mu_path_recurrence(k: int) -> int:
-    """Same count by the doubling recurrence a_k = 2*a_{k-1} + 2^k - 4,
+    """The path's count by the doubling recurrence a_k = 2*a_{k-1} + 2^k - 4,
     anchored at a_3 = 4 (the exhaustively verified count for 7 vertices)."""
     if k < 3:
         raise ValueError("k >= 3 required")
@@ -292,35 +266,16 @@ def mu_path_recurrence(k: int) -> int:
     return a
 
 
-def mu_cycle(k: int) -> int:
-    """(k-2)*2^k + 1 edges for the cycle on 2^k vertices: the size of
-    `cycle_good_edges`, all addable at once (each of the other chords is
-    also good on its own, but not together with the construction)."""
-    if k < 3:
-        raise ValueError("k >= 3 required")
-    return (k - 2) * 2 ** k + 1
-
-
-def mu_multipartite(*parts: int) -> int:
-    """Sum of (m_i - 1) * m_i / 2 over all parts after the largest: the size
-    of `multipartite_good_edges`, all addable at once."""
-    spec = FamilySpec.multipartite(*parts)
-    return sum(m * (m - 1) // 2 for m in spec.parts[1:])
-
-
-def mu_joined(n: int) -> int:
-    """2(n-1) edges for two joined n-cliques: the size of
-    `joined_good_edges`, all addable at once."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    return 2 * (n - 1)
-
-
 def mu_value(spec: FamilySpec) -> int:
+    """The size of `family_good_edges(spec)` in closed form, without
+    building the set: (k-3)*2^k + 4 for the path, (k-2)*2^k + 1 for the
+    cycle, the sum of m(m-1)/2 over the parts after the largest for a
+    complete multipartite graph, and 2(n-1) for two joined n-cliques."""
+    _check_covered(spec)
     if spec.kind == "path":
-        return mu_path(spec.k)
+        return (spec.k - 3) * 2 ** spec.k + 4
     if spec.kind == "cycle":
-        return mu_cycle(spec.k)
+        return (spec.k - 2) * 2 ** spec.k + 1
     if spec.kind == "multipartite":
-        return mu_multipartite(*spec.parts)
-    return mu_joined(spec.n)
+        return sum(m * (m - 1) // 2 for m in spec.parts[1:])
+    return 2 * (spec.n - 1)

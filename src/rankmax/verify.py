@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construct import (all_levels_good_edges, cycle_good_edges,
-                        family_good_edges, joined_good_edges, mu_cycle,
-                        mu_joined, mu_multipartite, mu_path,
-                        mu_path_recurrence, multipartite_forbidden_edges,
-                        multipartite_good_edges, path_good_edges)
+from .construct import (all_levels_good_edges, family_good_edges,
+                        mu_path_recurrence, mu_value,
+                        multipartite_forbidden_edges)
 from .oracle import RankOracle
 from .ranking import (FamilySpec, build_family, family_ranking,
                       family_rank_value, is_valid_ranking)
@@ -64,10 +62,10 @@ def run_path_suite(max_k: int, oracle: RankOracle) -> list[ClaimResult]:
     res: list[ClaimResult] = []
     for k in range(3, max_k + 1):
         spec = FamilySpec.path(k)
-        hp = path_good_edges(k)
+        hp = family_good_edges(spec)
         levels = all_levels_good_edges(k)
         peak = 2 ** k - 1
-        counts = (len(hp), mu_path(k), mu_path_recurrence(k), len(levels))
+        counts = (len(hp), mu_value(spec), mu_path_recurrence(k), len(levels))
         _claim(res, f"path-count-k{k}",
                f"constructed set for the {peak}-vertex path matches the "
                "closed form, the recurrence, and the level-union size",
@@ -99,17 +97,18 @@ def run_path_suite(max_k: int, oracle: RankOracle) -> list[ClaimResult]:
 def run_cycle_suite(max_k: int, oracle: RankOracle) -> list[ClaimResult]:
     res: list[ClaimResult] = []
     for k in range(3, max_k + 1):
-        hc = cycle_good_edges(k)
-        hp = path_good_edges(k)
+        spec, path = FamilySpec.cycle(k), FamilySpec.path(k)
+        hc = family_good_edges(spec)
+        hp = family_good_edges(path)
         n = 2 ** k
         _claim(res, f"cycle-count-k{k}",
                f"constructed set for the {n}-vertex cycle has (k-2)*2^k + 1 "
                "edges and contains the path construction",
-               len(hc) == mu_cycle(k) == mu_path(k) + n - 3
+               len(hc) == mu_value(spec) == mu_value(path) + n - 3
                and hp.edge_set() <= hc.edge_set(),
                f"{len(hc)} edges")
-        g = build_family(FamilySpec.cycle(k))
-        r = family_ranking(FamilySpec.cycle(k))
+        g = build_family(spec)
+        r = family_ranking(spec)
         _claim(res, f"cycle-ranking-k{k}",
                "cycle ranking is valid and uses k+1 labels",
                is_valid_ranking(g, r) and r.max_label == k + 1,
@@ -142,7 +141,7 @@ def run_multipartite_suite(oracle: RankOracle) -> list[ClaimResult]:
         expected = family_rank_value(spec)
         base, _ = oracle.rank_number(g)
         rank_ok.append(base == expected == r.max_label and is_valid_ranking(g, r))
-        good = multipartite_good_edges(spec)
+        good = family_good_edges(spec)
         sim = oracle.verify_simultaneous(g, good.edges)
         sim_ok.append(sim.ok)
         oracle_good, verdicts = oracle.good_edge_set(g, spec)
@@ -156,7 +155,7 @@ def run_multipartite_suite(oracle: RankOracle) -> list[ClaimResult]:
             unique_ok.append(
                 oracle_good.edges == good.edges
                 and {v.edge for v in verdicts if not v.is_good} == forb.edge_set()
-                and len(good) == mu_multipartite(*parts))
+                and len(good) == mu_value(spec))
     _claim(res, "mp-rank", "rank number N - m1 + 1 matches the constructed "
            "ranking on every profile with at most 9 vertices",
            all(rank_ok), f"{len(rank_ok)} profiles")
@@ -181,7 +180,7 @@ def run_joined_suite(oracle: RankOracle) -> list[ClaimResult]:
         spec = FamilySpec.joined(n)
         g = build_family(spec)
         r = family_ranking(spec)
-        good = joined_good_edges(n)
+        good = family_good_edges(spec)
         base, _ = oracle.rank_number(g)
         _claim(res, f"joined-rank-n{n}",
                "rank number n+1 matches the constructed ranking",
@@ -189,7 +188,7 @@ def run_joined_suite(oracle: RankOracle) -> list[ClaimResult]:
                f"rank {base}")
         _claim(res, f"joined-count-n{n}",
                "constructed set has 2(n-1) edges",
-               len(good) == mu_joined(n), f"{len(good)} edges")
+               len(good) == mu_value(spec), f"{len(good)} edges")
         sim = oracle.verify_simultaneous(g, good.edges)
         _claim(res, f"joined-simultaneous-n{n}",
                "adding the whole constructed set preserves the rank number",

@@ -25,11 +25,9 @@ import sys
 import time
 
 from rankmax import (FamilySpec, RankOracle, all_levels_good_edges,
-                     build_family, cycle_good_edges, family_ranking,
-                     is_valid_ranking, joined_good_edges, mu_cycle, mu_joined,
-                     mu_multipartite, mu_path, mu_path_recurrence,
-                     multipartite_forbidden_edges, multipartite_good_edges,
-                     path_good_edges)
+                     build_family, family_good_edges, family_ranking,
+                     is_valid_ranking, mu_path_recurrence, mu_value,
+                     multipartite_forbidden_edges)
 from rankmax.verify import multipartite_profiles
 from helpers import rankmax_env
 
@@ -67,7 +65,7 @@ def test_criterion1_path_construction_equals_oracle():
     oracle = RankOracle()
     spec = FamilySpec.path(4)
     g = build_family(spec)
-    constructed = path_good_edges(4)
+    constructed = family_good_edges(FamilySpec.path(4))
     assert len(constructed) == 20
     assert all_levels_good_edges(4).edges == constructed.edges
     good, verdicts = oracle.good_edge_set(g, spec)
@@ -87,7 +85,7 @@ def test_criterion2_cycle_construction_and_rank():
     oracle = RankOracle()
     spec = FamilySpec.cycle(4)
     g = build_family(spec)
-    constructed = cycle_good_edges(4)
+    constructed = family_good_edges(FamilySpec.cycle(4))
     assert len(constructed) == 33
     base, _ = oracle.rank_number(g)
     assert base == 5
@@ -117,8 +115,8 @@ def test_criterion2_per_edge_set_equality_as_stated():
     oracle = RankOracle()
     spec = FamilySpec.cycle(4)
     g = build_family(spec)
-    constructed = cycle_good_edges(4)
-    assert len(constructed) == mu_cycle(4) == 33
+    constructed = family_good_edges(FamilySpec.cycle(4))
+    assert len(constructed) == mu_value(FamilySpec.cycle(4)) == 33
     assert family_ranking_edges(g, spec) == constructed.edge_set()
     base, _ = oracle.rank_number(g)
     assert base == 5
@@ -139,7 +137,7 @@ def test_criterion3_joined_cliques_construction_and_rank():
     oracle = RankOracle()
     spec = FamilySpec.joined(5)
     g = build_family(spec)
-    constructed = joined_good_edges(5)
+    constructed = family_good_edges(FamilySpec.joined(5))
     assert len(constructed) == 8
     base, _ = oracle.rank_number(g)
     assert base == 6
@@ -170,8 +168,8 @@ def test_criterion3_forbidden_complement_as_stated():
     oracle = RankOracle()
     spec = FamilySpec.joined(5)
     g = build_family(spec)
-    constructed = joined_good_edges(5)
-    assert len(constructed) == mu_joined(5) == 8
+    constructed = family_good_edges(FamilySpec.joined(5))
+    assert len(constructed) == mu_value(FamilySpec.joined(5)) == 8
     assert family_ranking_edges(g, spec) == constructed.edge_set()
     base, _ = oracle.rank_number(g)
     assert base == 6
@@ -212,7 +210,7 @@ def test_criterion5_path_forbidden_complement():
     oracle = RankOracle()
     for k in (3, 4):
         g = build_family(FamilySpec.path(k))
-        constructed = path_good_edges(k).edge_set()
+        constructed = family_good_edges(FamilySpec.path(k)).edge_set()
         base, _ = oracle.rank_number(g)
         for e in g.non_edges():
             verdict = oracle.classify_edge(g, e)
@@ -231,8 +229,9 @@ def test_criterion6_formula_consistency():
     for k in range(3, 11):
         level_sum = sum(2 ** (k - j + 1) * (2 ** (j - 1) - 4)
                         for j in range(4, k + 2))
-        assert mu_path(k) == mu_path_recurrence(k) == level_sum
-        assert mu_cycle(k) == mu_path(k) + 2 ** k - 3
+        mu_path = mu_value(FamilySpec.path(k))
+        assert mu_path == mu_path_recurrence(k) == level_sum
+        assert mu_value(FamilySpec.cycle(k)) == mu_path + 2 ** k - 3
     report(6, "counts agree for k=3..10", t0)
 
 
@@ -258,13 +257,13 @@ def test_criterion7_multipartite_with_unique_maximum():
             assert len(good) == len(verdicts)
             checked_tied += 1
         else:
-            assert good.edges == multipartite_good_edges(spec).edges
+            assert good.edges == family_good_edges(spec).edges
             assert {v.edge for v in verdicts if not v.is_good} == \
                 multipartite_forbidden_edges(spec).edge_set()
-            assert len(good) == mu_multipartite(*parts)
+            assert len(good) == mu_value(spec)
             checked_unique += 1
         union_rank, _ = oracle.rank_number(
-            g.add_edges(multipartite_good_edges(spec).edges))
+            g.add_edges(family_good_edges(spec).edges))
         assert union_rank == base
     elapsed = report(7, f"{checked_unique} unique-max and {checked_tied} "
                         "tied profiles verified", t0)
@@ -294,7 +293,7 @@ def test_criterion7_all_profiles_as_stated():
     for parts in multipartite_profiles(9):
         spec = FamilySpec.multipartite(*parts)
         g = build_family(spec)
-        constructed = multipartite_good_edges(spec)
+        constructed = family_good_edges(spec)
         assert family_ranking_edges(g, spec) == constructed.edge_set()
         base, _ = oracle.rank_number(g)
         rest = assert_saturated(oracle, g, constructed, base)
@@ -321,7 +320,7 @@ def test_criterion8_path_edges_remain_good_on_cycles():
     for k in (3, 4):
         c = build_family(FamilySpec.cycle(k))
         base, _ = oracle.rank_number(c)
-        for e in path_good_edges(k):
+        for e in family_good_edges(FamilySpec.path(k)):
             assert oracle.classify_edge(c, e).is_good
     report(8, "path constructions inherited by cycles", t0)
 
@@ -333,8 +332,8 @@ def test_criterion9_certificate_mode_at_scale():
     count.  Construction sizes are 68 and 97."""
     t0 = time.perf_counter()
     oracle = RankOracle()
-    hp5 = path_good_edges(5)
-    hc5 = cycle_good_edges(5)
+    hp5 = family_good_edges(FamilySpec.path(5))
+    hc5 = family_good_edges(FamilySpec.cycle(5))
     assert len(hp5) == 68 and len(hc5) == 97
     p31 = build_family(FamilySpec.path(5))
     check = oracle.verify_simultaneous(p31, hp5.edges,

@@ -196,8 +196,9 @@ class TestGoodEdges:
         assert_one_line_usage_error(res)
         assert res.stdout == ""
 
-    def test_size_without_construction_is_usage_error(self):
-        assert_one_line_usage_error(run_cli("good-edges", "path", "-k", "2"))
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    def test_size_without_construction_is_usage_error(self, family):
+        assert_one_line_usage_error(run_cli("good-edges", family, "-k", "2"))
 
     def test_strict_paper_report(self):
         res = run_cli("good-edges", "path", "-k", "4", "--strict-paper")
@@ -206,6 +207,15 @@ class TestGoodEdges:
         assert "11 edges" in res.stdout
         assert "(10,12)" in res.stdout
         assert "8 vs 20" in res.stdout
+
+    # At k = 3 the published clauses miss no edge: the report says so in its
+    # count and prints no empty pairs line.
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    def test_strict_paper_report_prints_no_blank_pairs_line(self, family):
+        res = run_cli("good-edges", family, "-k", "3", "--strict-paper")
+        assert "under either reading (0):" in res.stdout
+        assert not [line for line in res.stdout.splitlines()
+                    if line and not line.strip()]
 
     def test_strict_paper_report_cycle(self):
         res = run_cli("good-edges", "cycle", "-k", "4", "--strict-paper")
@@ -240,8 +250,9 @@ class TestMu:
         assert res.returncode == 0
         assert json.loads(res.stdout)["mu"] == value
 
-    def test_size_without_closed_form_is_usage_error(self):
-        assert_one_line_usage_error(run_cli("mu", "path", "-k", "2"))
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    def test_size_without_closed_form_is_usage_error(self, family):
+        assert_one_line_usage_error(run_cli("mu", family, "-k", "2"))
 
     def test_oracle_side_by_side(self):
         res = run_cli("mu", "path", "-k", "3", "--oracle", "--json")
@@ -412,9 +423,10 @@ class TestExport:
         exp = run_cli("export", "cycle", "-k", "3", "--format", "json")
         assert gen.stdout == exp.stdout
 
-    def test_good_edges_without_construction_is_usage_error(self):
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    def test_good_edges_without_construction_is_usage_error(self, family):
         assert_one_line_usage_error(
-            run_cli("export", "path", "-k", "2", "--what", "good-edges"))
+            run_cli("export", family, "-k", "2", "--what", "good-edges"))
 
     def test_json_flag_is_refused(self):
         # --format chooses the output; export has no --json to ignore.

@@ -1,15 +1,16 @@
+import hashlib
+import json
 from random import Random
 
 import pytest
 
 from rankmax import (FamilySpec, Ranking, all_levels_good_edges, build_family,
-                     bits, closure_edges, cycle_good_edges, family_good_edges,
-                     components_masks, family_ranking, flip_bit,
-                     is_valid_ranking, joined_good_edges, mu_cycle, mu_joined,
-                     mu_multipartite, mu_path, mu_path_recurrence,
-                     multipartite_forbidden_edges, multipartite_good_edges,
-                     next_center, path_good_edges)
+                     bits, closure_edges, components_masks, family_good_edges,
+                     family_ranking, flip_bit, is_valid_ranking,
+                     mu_path_recurrence, mu_value,
+                     multipartite_forbidden_edges, next_center)
 from rankmax.construct import published_readings
+from rankmax.verify import multipartite_profiles
 from helpers import (ancestor_pairs, closure_by_peel, mask_of, path_graph,
                      random_graph)
 
@@ -81,14 +82,14 @@ class TestPathGoodTargets:
         (7, 4, set()),
     ])
     def test_corrected_targets(self, m, k, expected):
-        assert targets(path_good_edges(k), m) == expected
+        assert targets(family_good_edges(FamilySpec.path(k)), m) == expected
 
     def test_printed_clauses_miss_left_block_edges(self):
         # v_10 sits inside the block of center 12 but no printed clause
         # produces the pair from the smaller endpoint.
         printed = published_readings(FamilySpec.path(4))["printed"]
         assert not [e for e in printed if e[0] == 10]
-        assert (10, 12) in path_good_edges(4)
+        assert (10, 12) in family_good_edges(FamilySpec.path(4))
 
     def test_literal_clause_two_needs_positive_run_index(self):
         readings = published_readings(FamilySpec.path(3))
@@ -100,38 +101,42 @@ class TestPathGoodTargets:
         # partners as the center blocks
         for k in (3, 4, 5):
             closure = all_levels_good_edges(k)
+            hp = family_good_edges(FamilySpec.path(k))
             for m in range(1, 2 ** k):
-                assert targets(closure, m) == targets(path_good_edges(k), m)
+                assert targets(closure, m) == targets(hp, m)
 
 
 class TestPathGoodEdges:
     def test_k3_exact(self):
-        es = path_good_edges(3)
+        es = family_good_edges(FamilySpec.path(3))
         assert es.edges == HP3
         # membership ignores orientation, as Graph.has_edge does
         assert (1, 4) in es and (4, 1) in es and (4, 4) not in es
 
     def test_k4_exact(self):
-        assert path_good_edges(4).edges == HP4
+        assert family_good_edges(FamilySpec.path(4)).edges == HP4
 
     @pytest.mark.parametrize("k", range(3, 11))
     def test_count_matches_closed_form(self, k):
-        assert len(path_good_edges(k)) == mu_path(k)
+        spec = FamilySpec.path(k)
+        assert len(family_good_edges(spec)) == mu_value(spec)
 
     def test_variant_counts_at_k4(self):
         readings = published_readings(FamilySpec.path(4))
-        assert len(path_good_edges(4)) == 20
+        assert len(family_good_edges(FamilySpec.path(4))) == 20
         assert len(readings["printed"]) == 19
         assert len(readings["literal"]) == 11
 
     def test_no_host_edges_included(self):
         for k in (3, 4, 5):
             host = set(build_family(FamilySpec.path(k)).edges)
-            assert not host & path_good_edges(k).edge_set()
+            assert not host & family_good_edges(FamilySpec.path(k)).edge_set()
 
-    def test_rejects_small_k(self):
+    @pytest.mark.parametrize("spec", [FamilySpec.path(2), FamilySpec.cycle(2)])
+    @pytest.mark.parametrize("entry", [family_good_edges, mu_value])
+    def test_rejects_small_k(self, entry, spec):
         with pytest.raises(ValueError):
-            path_good_edges(2)
+            entry(spec)
 
 
 class TestLabelSets:
@@ -201,12 +206,13 @@ class TestLevelGoodEdges:
             assert not seen & es
             seen |= es
             total += len(es)
-        assert total == mu_path(k)
+        assert total == mu_value(FamilySpec.path(k))
         assert seen == all_levels_good_edges(k).edge_set()
 
     @pytest.mark.parametrize("k", range(3, 7))
     def test_union_equals_block_construction(self, k):
-        assert all_levels_good_edges(k).edges == path_good_edges(k).edges
+        hp = family_good_edges(FamilySpec.path(k))
+        assert all_levels_good_edges(k).edges == hp.edges
 
     def test_published_union_bound_undercounts(self):
         assert len(published_readings(FamilySpec.path(4))["level_union"]) == 8
@@ -229,10 +235,10 @@ class TestLevelGoodEdges:
 
 class TestCounts:
     def test_headline_values(self):
-        assert mu_path(4) == 20
-        assert mu_cycle(4) == 33
-        assert mu_joined(5) == 8
-        assert mu_multipartite(4, 3, 2) == 4
+        assert mu_value(FamilySpec.path(4)) == 20
+        assert mu_value(FamilySpec.cycle(4)) == 33
+        assert mu_value(FamilySpec.joined(5)) == 8
+        assert mu_value(FamilySpec.multipartite(4, 3, 2)) == 4
 
     def test_recurrence_values(self):
         assert mu_path_recurrence(3) == 4
@@ -243,74 +249,98 @@ class TestCounts:
     def test_formula_recurrence_and_level_sum_agree(self, k):
         level_sum = sum(2 ** (k - j + 1) * (2 ** (j - 1) - 4)
                         for j in range(4, k + 2))
-        assert mu_path(k) == mu_path_recurrence(k) == level_sum
-        assert mu_cycle(k) == mu_path(k) + 2 ** k - 3
+        mu_path = mu_value(FamilySpec.path(k))
+        assert mu_path == mu_path_recurrence(k) == level_sum
+        assert mu_value(FamilySpec.cycle(k)) == mu_path + 2 ** k - 3
+
+
+# Paths and cycles for k = 3..8, joined cliques for n = 2..8 and every
+# multipartite profile of at most 8 vertices, with the sha256 of their
+# constructed sets (edges and clause tags) as the per-family construction
+# functions built them before they became branches of family_good_edges.
+SOURCE_SPECS = ([FamilySpec.path(k) for k in range(3, 9)]
+                + [FamilySpec.cycle(k) for k in range(3, 9)]
+                + [FamilySpec.joined(n) for n in range(2, 9)]
+                + [FamilySpec.multipartite(*p) for p in multipartite_profiles(8)])
+SOURCE_DIGEST = "8c1f462216e2314860397ee28bb113da1d2a7bd1b035b0561a5ac09ccb788450"
+
+
+class TestSourceOfTruth:
+    def test_constructed_sets_match_the_recorded_digest(self):
+        blob = json.dumps([family_good_edges(spec).to_json_dict()
+                           for spec in SOURCE_SPECS], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == SOURCE_DIGEST
+
+    def test_count_is_the_size_of_the_constructed_set(self):
+        for spec in SOURCE_SPECS:
+            assert mu_value(spec) == len(family_good_edges(spec)), spec
 
 
 class TestCycleGoodEdges:
     def test_k3_exact(self):
-        assert cycle_good_edges(3).edge_set() == set(HC3)
+        assert family_good_edges(FamilySpec.cycle(3)).edge_set() == set(HC3)
 
     def test_k4_count_and_containment(self):
-        es = cycle_good_edges(4)
+        es = family_good_edges(FamilySpec.cycle(4))
         assert len(es) == 33
-        assert path_good_edges(4).edge_set() <= es.edge_set()
+        assert family_good_edges(FamilySpec.path(4)).edge_set() <= es.edge_set()
         assert sum(1 for e in es if 16 in e) == 13
 
     def test_k5_count(self):
-        assert len(cycle_good_edges(5)) == 97
+        assert len(family_good_edges(FamilySpec.cycle(5))) == 97
 
     def test_no_host_edges(self):
         host = set(build_family(FamilySpec.cycle(4)).edges)
-        assert not host & cycle_good_edges(4).edge_set()
+        assert not host & family_good_edges(FamilySpec.cycle(4)).edge_set()
 
 
 class TestMultipartiteEdges:
     def test_three_two(self):
         spec = FamilySpec.multipartite(3, 2)
-        assert multipartite_good_edges(spec).edges == ((4, 5),)
+        assert family_good_edges(spec).edges == ((4, 5),)
         assert multipartite_forbidden_edges(spec).edges == ((1, 2), (1, 3), (2, 3))
 
     def test_two_two(self):
         spec = FamilySpec.multipartite(2, 2)
-        assert multipartite_good_edges(spec).edges == ((3, 4),)
+        assert family_good_edges(spec).edges == ((3, 4),)
         assert multipartite_forbidden_edges(spec).edges == ((1, 2),)
 
     def test_singleton_parts_give_nothing(self):
-        assert len(multipartite_good_edges(FamilySpec.multipartite(4, 1, 1))) == 0
+        assert len(family_good_edges(FamilySpec.multipartite(4, 1, 1))) == 0
 
     @pytest.mark.parametrize("parts", [(3, 2), (2, 2), (4, 3, 2), (2, 2, 1),
                                        (5, 1), (3, 3, 3)])
     def test_partition_of_non_edges(self, parts):
         spec = FamilySpec.multipartite(*parts)
         g = build_family(spec)
-        good = multipartite_good_edges(spec).edge_set()
+        good = family_good_edges(spec).edge_set()
         forb = multipartite_forbidden_edges(spec).edge_set()
         assert good | forb == set(g.non_edges())
         assert not good & forb
-        assert len(good) == mu_multipartite(*parts)
+        assert len(good) == mu_value(spec)
 
 
 class TestJoinedGoodEdges:
     def test_n5_exact(self):
-        assert joined_good_edges(5).edges == (
+        assert family_good_edges(FamilySpec.joined(5)).edges == (
             (2, 10), (3, 10), (4, 10), (5, 6), (5, 7), (5, 8), (5, 9), (5, 10))
 
     def test_n2_exact(self):
-        assert joined_good_edges(2).edges == ((2, 3), (2, 4))
+        assert family_good_edges(FamilySpec.joined(2)).edges == ((2, 3), (2, 4))
 
     def test_n3_exact(self):
-        assert joined_good_edges(3).edges == ((2, 6), (3, 4), (3, 5), (3, 6))
+        assert family_good_edges(FamilySpec.joined(3)).edges == (
+            (2, 6), (3, 4), (3, 5), (3, 6))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_count_and_disjointness_from_host(self, n):
-        es = joined_good_edges(n)
-        assert len(es) == mu_joined(n) == 2 * (n - 1)
+        es = family_good_edges(FamilySpec.joined(n))
+        assert len(es) == mu_value(FamilySpec.joined(n)) == 2 * (n - 1)
         host = set(build_family(FamilySpec.joined(n)).edges)
         assert not host & es.edge_set()
 
     def test_shared_edge_tagged_from_both_tops(self):
-        es = joined_good_edges(5)
+        es = family_good_edges(FamilySpec.joined(5))
         tag = dict(zip(es.edges, es.tags))[(5, 10)]
         assert tag == "top-w,top-v"
 
@@ -351,7 +381,7 @@ class TestClosureEdges:
         g = build_family(FamilySpec.joined(n))
         closure = closure_edges(g, family_ranking(FamilySpec.joined(n)))
         assert closure.edges == tuple((i, 2 * n) for i in range(2, n + 1))
-        assert closure.edge_set() <= joined_good_edges(n).edge_set()
+        assert closure.edge_set() <= family_good_edges(FamilySpec.joined(n)).edge_set()
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_joined_chain_forest_closure_is_the_construction(self, n):
@@ -366,7 +396,8 @@ class TestClosureEdges:
         pairs = ancestor_pairs(parent)
         g = build_family(FamilySpec.joined(n))
         assert set(g.edges) <= pairs
-        assert pairs - set(g.edges) == joined_good_edges(n).edge_set()
+        good = family_good_edges(FamilySpec.joined(n))
+        assert pairs - set(g.edges) == good.edge_set()
 
     def test_random_graphs_keep_their_ranking(self):
         rng = Random(11)
@@ -441,7 +472,7 @@ class TestEdgeSetInvariants:
             EdgeSet(None, ((1, 2),), ())
 
     def test_json_shape(self):
-        obj = path_good_edges(3).to_json_dict()
+        obj = family_good_edges(FamilySpec.path(3)).to_json_dict()
         assert obj["family"] == {"kind": "path", "k": 3}
         assert obj["edges"] == [[1, 4], [2, 4], [4, 6], [4, 7]]
         assert len(obj["clauses"]) == 4

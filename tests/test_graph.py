@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmax import (FamilySpec, Graph, RankOracle, bits, components_masks,
-                     cycle_good_edges, family_ranking, path_good_edges)
+                     family_good_edges, family_ranking)
 from helpers import bfs_components_reference, cycle_graph, mask_of, path_graph
 
 from rankmax.graph import edge
@@ -32,7 +32,7 @@ class TestConstruction:
         assert cycle.n == 64 and cycle.has_edge(1, 64)
         assert path_graph(127).edge_count == 126
         check = RankOracle().verify_simultaneous(
-            cycle, cycle_good_edges(6).edges,
+            cycle, family_good_edges(FamilySpec.cycle(6)).edges,
             witness=family_ranking(FamilySpec.cycle(6)))
         assert check.ok and check.mode == "certificate"
         assert check.base_rank == check.union_rank == 7
@@ -104,7 +104,7 @@ class TestAddEdges:
         assert path_graph(7).add_edges([(1, 4)]).edge_count == 7
 
     def test_full_path_construction_addition(self):
-        g = path_graph(15).add_edges(path_good_edges(4).edges)
+        g = path_graph(15).add_edges(family_good_edges(FamilySpec.path(4)).edges)
         assert g.edge_count == 14 + 20
 
     def test_duplicates_ignored(self):

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmax import (CapExceeded, FamilySpec, Graph, RankOracle, Ranking,
-                     bits, build_family, components_masks, cycle_good_edges,
-                     family_good_edges, family_ranking, is_valid_ranking,
-                     longest_path_length, path_good_edges)
+                     bits, build_family, components_masks, family_good_edges,
+                     family_ranking, is_valid_ranking, longest_path_length)
 from rankmax import _orbits
 from rankmax.oracle import _Engine
 from rankmax.verify import multipartite_profiles, run_uniqueness_suite
@@ -227,7 +226,7 @@ class TestGoodEdgeSet:
 
     def test_fifteen_path_matches_construction(self, oracle):
         good, verdicts = oracle.good_edge_set(path_graph(15))
-        assert good.edges == path_good_edges(4).edges
+        assert good.edges == family_good_edges(FamilySpec.path(4)).edges
         assert len(verdicts) == 91
 
     def test_every_chord_of_a_cycle_is_individually_good(self, oracle):
@@ -552,7 +551,7 @@ class TestVerifySimultaneous:
 
     def test_certificate_for_thirty_one_path(self, oracle):
         check = oracle.verify_simultaneous(
-            path_graph(31), path_good_edges(5).edges,
+            path_graph(31), family_good_edges(FamilySpec.path(5)).edges,
             witness=family_ranking(FamilySpec.path(5)))
         assert check.ok and check.mode == "certificate"
         assert check.detail == (
@@ -561,7 +560,7 @@ class TestVerifySimultaneous:
 
     def test_certificate_for_thirty_two_cycle(self, oracle):
         check = oracle.verify_simultaneous(
-            cycle_graph(32), cycle_good_edges(5).edges,
+            cycle_graph(32), family_good_edges(FamilySpec.cycle(5)).edges,
             witness=family_ranking(FamilySpec.cycle(5)))
         assert check.ok and check.mode == "certificate"
 
@@ -787,7 +786,7 @@ class TestSearchHygiene:
         oracle = RankOracle()
         g = cycle_graph(8)
         oracle.good_edge_set(g)
-        oracle.verify_simultaneous(g, cycle_good_edges(3).edges)
+        oracle.verify_simultaneous(g, family_good_edges(FamilySpec.cycle(3)).edges)
         engine = oracle._host
         assert engine.adj == g.adjacency and engine.host is None
         assert oracle.rank_number(complete_graph(8))[0] == 8

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmax import (FamilySpec, Graph, Ranking, build_family,
-                     family_rank_value, family_ranking, is_valid_ranking,
-                     next_center, path_good_edges, position_label)
+                     family_good_edges, family_rank_value, family_ranking,
+                     is_valid_ranking, next_center, position_label)
 from helpers import all_graphs, path_graph, valid_by_path_definition
 
 
@@ -78,7 +78,7 @@ class TestValidityChecker:
         assert not is_valid_ranking(path_graph(7), Ranking((1, 2, 1, 2, 1, 2, 1)))
 
     def test_standard_ranking_survives_full_addition(self):
-        g = path_graph(15).add_edges(path_good_edges(4).edges)
+        g = path_graph(15).add_edges(family_good_edges(FamilySpec.path(4)).edges)
         assert is_valid_ranking(g, family_ranking(FamilySpec.path(4)))
 
     def test_missing_labels_rejected(self):
