@@ -208,7 +208,8 @@ def cmd_good_edges(args) -> tuple[int, object]:
         es = family_good_edges(spec)
         if args.json:
             return 0, es
-        return 0, [f"{len(es)} edges for {spec.describe()}", _pairs(es)]
+        return 0, [f"{len(es)} edges for {spec.describe()}",
+                   *([_pairs(es)] if es else [])]
     check_cap(spec.vertex_count, args.cap)
     if args.mode == "oracle":
         good, verdicts = oracle.good_edge_set(build_family(spec), spec)
@@ -229,8 +230,9 @@ def cmd_good_edges(args) -> tuple[int, object]:
         lines.append("identical")
     else:
         lines.append("mismatch")
-        lines.append("constructed only: " + _pairs(diff["constructed_only"]))
-        lines.append("oracle only: " + _pairs(diff["oracle_only"]))
+        lines.append("constructed only: "
+                     + (_pairs(diff["constructed_only"]) or "none"))
+        lines.append("oracle only: " + (_pairs(diff["oracle_only"]) or "none"))
     return code, lines
 
 

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .graph import Graph, bits, edge
 from .ranking import (FamilySpec, Ranking, _level_walk, build_family,
-                      family_ranking, part_ranges, trailing_zeros)
+                      family_ranking, part_ranges, position_label)
 
 @dataclass(frozen=True)
 class EdgeSet:
@@ -73,14 +73,7 @@ def _make_edge_set(family: FamilySpec | None,
     return EdgeSet(family, tuple(es), tuple(tagged[e] for e in es))
 
 
-def flip_bit(bit: int) -> int:
-    """Complement of a single binary digit."""
-    if bit not in (0, 1):
-        raise ValueError("binary digit required")
-    return 1 - bit
-
-
-def next_center(m: int, s: int) -> int:
+def _next_center(m: int, s: int) -> int:
     """Offset m+1 + sum of 2^i over the zero bits of odd m at positions 1..s.
 
     Equals the smallest multiple of 2^(s+1) above m: the nearest position to
@@ -91,14 +84,14 @@ def next_center(m: int, s: int) -> int:
     t = m.bit_length() - 1
     if not 1 <= s <= t - 1:
         raise ValueError(f"s must be in 1..{t - 1} for m={m}")
-    return m + 1 + sum(flip_bit((m >> i) & 1) * 2 ** i for i in range(1, s + 1))
+    return m + 1 + sum((1 - (m >> i & 1)) * 2 ** i for i in range(1, s + 1))
 
 
 def _printed_targets(m: int, k: int, l_min: int) -> dict[int, str]:
     """The three published clauses, applied verbatim; returns n -> clause."""
     peak = 2 ** k - 1
     t = m.bit_length() - 1
-    j = trailing_zeros(m)
+    j = position_label(m) - 1
     l = ((m >> j) - 1) // 2
     res: dict[int, str] = {}
     if m % 2 == 1:
@@ -107,7 +100,7 @@ def _printed_targets(m: int, k: int, l_min: int) -> dict[int, str]:
             res.setdefault(2 ** w, "1")
             w += 1
         for s in range(1, t):
-            n = next_center(m, s)
+            n = _next_center(m, s)
             if n <= peak:
                 res.setdefault(n, "1")
     if l >= l_min:

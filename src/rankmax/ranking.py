@@ -13,18 +13,14 @@ from dataclasses import dataclass
 from .graph import Graph, components_masks
 
 
-def trailing_zeros(m: int) -> int:
-    if m < 1:
-        raise ValueError("positive integer required")
-    return (m & -m).bit_length() - 1
-
-
 def position_label(m: int) -> int:
     """Label of the vertex in position m of a standard path ranking.
 
     One more than the exponent of the largest power of two dividing m.
     """
-    return trailing_zeros(m) + 1
+    if m < 1:
+        raise ValueError("positive integer required")
+    return (m & -m).bit_length()
 
 
 @dataclass(frozen=True)
@@ -186,17 +182,6 @@ def family_ranking(spec: FamilySpec) -> Ranking:
         return Ranking((1,) * spec.parts[0] + tuple(range(2, rest + 2)))
     n = spec.n
     return Ranking(tuple(range(1, n + 1)) + tuple(range(1, n)) + (n + 1,))
-
-
-def family_rank_value(spec: FamilySpec) -> int:
-    """Rank number of the family graph (k, k+1, N - m_1 + 1, or n + 1)."""
-    if spec.kind == "path":
-        return spec.k
-    if spec.kind == "cycle":
-        return spec.k + 1
-    if spec.kind == "multipartite":
-        return sum(spec.parts) - spec.parts[0] + 1
-    return spec.n + 1
 
 
 def _level_walk(g: Graph, r: Ranking):

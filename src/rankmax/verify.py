@@ -13,8 +13,7 @@ from .construct import (all_levels_good_edges, family_good_edges,
                         mu_path_recurrence, mu_value,
                         multipartite_forbidden_edges)
 from .oracle import RankOracle
-from .ranking import (FamilySpec, build_family, family_ranking,
-                      family_rank_value, is_valid_ranking)
+from .ranking import FamilySpec, build_family, family_ranking, is_valid_ranking
 
 SUITES = ("paper-all", "path", "cycle", "multipartite", "joined", "uniqueness")
 
@@ -138,9 +137,9 @@ def run_multipartite_suite(oracle: RankOracle) -> list[ClaimResult]:
         spec = FamilySpec.multipartite(*parts)
         g = build_family(spec)
         r = family_ranking(spec)
-        expected = family_rank_value(spec)
         base, _ = oracle.rank_number(g)
-        rank_ok.append(base == expected == r.max_label and is_valid_ranking(g, r))
+        rank_ok.append(base == sum(parts) - parts[0] + 1 == r.max_label
+                       and is_valid_ranking(g, r))
         good = family_good_edges(spec)
         sim = oracle.verify_simultaneous(g, good.edges)
         sim_ok.append(sim.ok)

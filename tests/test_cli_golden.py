@@ -35,6 +35,20 @@ COMMANDS = [
     ["generate", "joined", "-n", "4", "--json"],
     ["export", "cycle", "-k", "3", "--what", "good-edges", "--format", "dot"],
     ["good-edges", "path", "-k", "4", "--strict-paper"],
+    # The JSON and DOT forms of every verb.
+    *[command.split() for command in (
+        "generate path -k 3 --json",
+        "rank cycle -k 3 --json",
+        "rank multipartite --parts 3 2 --json",
+        "good-edges path -k 4 --json",
+        "good-edges joined -n 3 --mode compare --json",
+        "mu path -k 4 --json",
+        "mu joined -n 3 --oracle --json",
+        "verify --suite joined --json",
+        "export path -k 4 --what good-edges --format json",
+        "export joined -n 3 --format json",
+        "export multipartite --parts 3 2 --what good-edges --format dot",
+    )],
 ]
 
 

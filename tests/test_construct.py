@@ -6,10 +6,9 @@ import pytest
 
 from rankmax import (FamilySpec, Ranking, all_levels_good_edges, build_family,
                      bits, closure_edges, components_masks, family_good_edges,
-                     family_ranking, flip_bit, is_valid_ranking,
-                     mu_path_recurrence, mu_value,
-                     multipartite_forbidden_edges, next_center)
-from rankmax.construct import published_readings
+                     family_ranking, is_valid_ranking, mu_path_recurrence,
+                     mu_value, multipartite_forbidden_edges)
+from rankmax.construct import _next_center, published_readings
 from rankmax.verify import multipartite_profiles
 from helpers import (ancestor_pairs, closure_by_peel, mask_of, path_graph,
                      random_graph)
@@ -37,39 +36,26 @@ def path_stars(k: int, label: int) -> list[tuple[int, int]]:
             if r.label(max(e, key=r.label)) == label]
 
 
-class TestFlipBit:
-    def test_values(self):
-        assert flip_bit(0) == 1
-        assert flip_bit(1) == 0
-
-    def test_involution(self):
-        assert all(flip_bit(flip_bit(b)) == b for b in (0, 1))
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            flip_bit(2)
-
-
 class TestNextCenter:
     @pytest.mark.parametrize("m,s,expected", [
         (5, 1, 8), (9, 1, 12), (9, 2, 16), (7, 1, 8), (11, 1, 12), (17, 2, 24),
     ])
     def test_hand_values(self, m, s, expected):
-        assert next_center(m, s) == expected
+        assert _next_center(m, s) == expected
 
     def test_equals_round_up_to_power_multiple(self):
         for m in range(5, 128, 2):
             for s in range(1, m.bit_length() - 1):
                 step = 2 ** (s + 1)
-                assert next_center(m, s) == -(-m // step) * step
+                assert _next_center(m, s) == -(-m // step) * step
 
     def test_rejects_even_m(self):
         with pytest.raises(ValueError):
-            next_center(6, 1)
+            _next_center(6, 1)
 
     def test_rejects_s_out_of_range(self):
         with pytest.raises(ValueError):
-            next_center(9, 3)
+            _next_center(9, 3)
 
 
 class TestPathGoodTargets:
@@ -265,11 +251,25 @@ SOURCE_SPECS = ([FamilySpec.path(k) for k in range(3, 9)]
 SOURCE_DIGEST = "8c1f462216e2314860397ee28bb113da1d2a7bd1b035b0561a5ac09ccb788450"
 
 
+# The same paths and cycles, with the sha256 of their three published
+# readings (edges and clause tags) as recorded before the bit helpers of the
+# printed clauses were folded into `position_label` and `_next_center`.
+READINGS_SPECS = [spec for spec in SOURCE_SPECS
+                  if spec.kind in ("path", "cycle")]
+READINGS_DIGEST = "57d27be6bc86e2184ee9beea160c883df5c60947fc159a430f129474edf0dadc"
+
+
 class TestSourceOfTruth:
     def test_constructed_sets_match_the_recorded_digest(self):
         blob = json.dumps([family_good_edges(spec).to_json_dict()
                            for spec in SOURCE_SPECS], sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == SOURCE_DIGEST
+
+    def test_published_readings_match_the_recorded_digest(self):
+        blob = json.dumps([{name: es.to_json_dict()
+                            for name, es in published_readings(spec).items()}
+                           for spec in READINGS_SPECS], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == READINGS_DIGEST
 
     def test_count_is_the_size_of_the_constructed_set(self):
         for spec in SOURCE_SPECS:

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmax import (FamilySpec, Graph, Ranking, build_family,
-                     family_good_edges, family_rank_value, family_ranking,
-                     is_valid_ranking, next_center, position_label)
+                     family_good_edges, family_ranking, is_valid_ranking,
+                     position_label)
+from rankmax.construct import _next_center
 from helpers import all_graphs, path_graph, valid_by_path_definition
 
 
@@ -60,7 +61,15 @@ class TestFamilyRanking:
     def test_valid_with_rank_number_labels(self, spec):
         r = family_ranking(spec)
         assert len(r.labels) == spec.vertex_count
-        assert r.max_label == family_rank_value(spec)
+        if spec.kind == "path":
+            rank = spec.k
+        elif spec.kind == "cycle":
+            rank = spec.k + 1
+        elif spec.kind == "multipartite":
+            rank = sum(spec.parts) - spec.parts[0] + 1
+        else:
+            rank = spec.n + 1
+        assert r.max_label == rank
         assert is_valid_ranking(build_family(spec), r)
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -116,7 +125,7 @@ class TestLabelOrderingBelowCenters:
         for m in range(5, 64, 2):
             t = m.bit_length() - 1
             for s in range(1, t):
-                w = next_center(m, s)
+                w = _next_center(m, s)
                 for j in range(m + 1, w):
                     assert position_label(j) < position_label(w)
 

@@ -14,10 +14,9 @@ PUBLIC_NAMES = [
     "CapExceeded", "EdgeSet", "EdgeVerdict", "FamilySpec", "Graph",
     "RankOracle", "Ranking", "SearchStats", "SimultaneousCheck",
     "all_levels_good_edges", "bits", "build_family", "closure_edges",
-    "components_masks", "edge", "family_good_edges", "family_rank_value",
-    "family_ranking", "flip_bit", "is_valid_ranking", "longest_path_length",
-    "mu_path_recurrence", "mu_value", "multipartite_forbidden_edges",
-    "next_center", "position_label", "trailing_zeros",
+    "components_masks", "edge", "family_good_edges", "family_ranking",
+    "is_valid_ranking", "longest_path_length", "mu_path_recurrence",
+    "mu_value", "multipartite_forbidden_edges", "position_label",
 ]
 
 
